@@ -57,7 +57,6 @@ from .graph_core import (
     LayerDecomposition,
     bfs_layers,
     closed_neighborhood,
-    dominates,
     eccentricity,
     from_edge_list,
     gen_complete,
@@ -111,7 +110,6 @@ __all__ = [
     "contains_induced",
     "corpus_graphs",
     "dominate_layer",
-    "dominates",
     "eccentricity",
     "enumerate_connected_graphs",
     "extract_forbidden_witness",

@@ -5,9 +5,10 @@ assembled from the layer above it. For graphs free of K*_k, S*_ell, and P_m
 the per-layer sets provably fit under the recursive bound f(k, ell, i), giving
 a dominating set of size at most theorem_bound(k, ell, m).
 
-The same machinery runs in reverse: when a layer set exceeds its bound, the
-proof of that bound is constructive enough to extract the reason, an induced
-K*_k or S*_ell, as an explicit embedding (extract_forbidden_witness).
+Extraction (extract_forbidden_witness) runs the same X/U/X0 stage code as
+dominate_layer and retraces the bound's proof wherever a stage overflows: a
+layer set above f(k, ell, i) always yields, for the same root and layer, an
+induced K*_k or S*_ell as an explicit embedding.
 
 Ramsey numbers enter through ramsey_upper, which substitutes certified upper
 bounds where exact values are unknown; every derived quantity stays a valid
@@ -178,6 +179,25 @@ def ramsey_witness(
 # Layer construction
 # ---------------------------------------------------------------------------
 
+def _stages_x_u(graph: Graph, layers: LayerDecomposition, i: int) -> tuple[frozenset[int], ...]:
+    """Layer i with its stages X and U; see dominate_layer."""
+    if i < 2:
+        raise PreconditionError(f"layer stages require i >= 2, got {i}")
+    target = layers.layer(i)
+    if not target:
+        raise PreconditionError(f"layer {i} is empty")
+    x_set = maximal_independent_subset(graph, target)
+    return target, x_set, minimal_dominating_subset(graph, layers.layer(i - 1), x_set)
+
+
+def _stage_x0(
+    graph: Graph, target: frozenset[int], x_set: frozenset[int], u_set: frozenset[int]
+) -> tuple[frozenset[int], frozenset[int]]:
+    """The residual of layer i that U misses, and stage X0 dominating it; see dominate_layer."""
+    residual = target - closed_neighborhood(graph, u_set)
+    return residual, minimal_dominating_subset(graph, x_set, residual)
+
+
 def dominate_layer(graph: Graph, layers: LayerDecomposition, i: int) -> frozenset[int]:
     """Dominating set for layer i built from layer i-1 and the layer itself.
 
@@ -186,15 +206,8 @@ def dominate_layer(graph: Graph, layers: LayerDecomposition, i: int) -> frozense
     U united with X0 dominates all of layer i unconditionally; its size obeys
     f(k, ell, i) whenever the graph is {K*_k, S*_ell}-free.
     """
-    if i < 2:
-        raise PreconditionError(f"dominate_layer requires i >= 2, got {i}")
-    target = layers.layer(i)
-    if not target:
-        raise PreconditionError(f"layer {i} is empty")
-    x_set = maximal_independent_subset(graph, target)
-    u_set = minimal_dominating_subset(graph, layers.layer(i - 1), x_set)
-    residual = target - closed_neighborhood(graph, u_set)
-    x0_set = minimal_dominating_subset(graph, x_set, residual)
+    target, x_set, u_set = _stages_x_u(graph, layers, i)
+    _, x0_set = _stage_x0(graph, target, x_set, u_set)
     return frozenset(u_set | x0_set)
 
 
@@ -302,15 +315,10 @@ class ForbiddenWitness:
     embedding: Embedding
 
 
-def _witness_pattern(witness: ForbiddenWitness) -> Graph:
-    if witness.shape == "kstar":
-        return gen_k_star(witness.size)
-    return gen_s_star(witness.size)
-
-
 def _checked_witness(graph: Graph, shape: str, size: int, mapping: tuple[int, ...]) -> ForbiddenWitness:
     witness = ForbiddenWitness(shape, size, Embedding(mapping))
-    if not verify_embedding(graph, _witness_pattern(witness), witness.embedding):
+    pattern = gen_k_star(size) if shape == "kstar" else gen_s_star(size)
+    if not verify_embedding(graph, pattern, witness.embedding):
         raise WitnessContradictionError(
             f"assembled {shape} witness is not a valid induced embedding; "
             "this indicates a bug in the extraction logic"
@@ -339,25 +347,18 @@ def _contradiction(stage: str) -> WitnessContradictionError:
     )
 
 
-def _layer_dominator(
+def _u_overflow_witness(
     graph: Graph,
     layers: LayerDecomposition,
     i: int,
     k: int,
     ell: int,
     x_set: frozenset[int],
-):
-    """Minimal dominating subset of layer i-1 for an independent x_set in layer i.
-
-    Returns (U, None) when U fits under g(k, ell, i), else (None, witness)
-    with the induced K*_k or S*_ell that the overflow forces into the graph.
-    At i = 1 the root alone dominates and is always within g(k, ell, 1) = 1.
-    """
-    if i == 1:
-        return frozenset({layers.root}), None
-    u_set = minimal_dominating_subset(graph, layers.layer(i - 1), x_set)
+    u_set: frozenset[int],
+) -> Optional[ForbiddenWitness]:
+    """Induced K*_k or S*_ell forced when U, minimal over x_set, exceeds g(k, ell, i); else None."""
     if len(u_set) <= g_value(k, ell, i):
-        return u_set, None
+        return None
 
     # Overflow: |U| >= R(k, (ell-1)g(i-1)+1). Minimality gives each u in U a
     # private x_u in x_set; the Ramsey dichotomy on U then forces a witness.
@@ -368,20 +369,22 @@ def _layer_dominator(
         raise _contradiction("the Ramsey dichotomy produced neither set")
     if dichotomy.kind == "clique":
         # The clique plus its private neighbors induces K*_k.
-        return None, _kstar_witness(graph, dichotomy.vertices, pendant_of)
+        return _kstar_witness(graph, dichotomy.vertices, pendant_of)
 
     # Independent branch: dominate the independent set from one layer deeper,
     # then pigeonhole a vertex there adjacent to ell of its members; that
-    # vertex, those members, and their privates induce S*_ell.
+    # vertex, those members, and their privates induce S*_ell. At i - 1 = 1
+    # the deeper set is the root alone, within g(k, ell, 1) = 1.
     u2_set = dichotomy.vertices
-    deeper, witness = _layer_dominator(graph, layers, i - 1, k, ell, frozenset(u2_set))
+    deeper = minimal_dominating_subset(graph, layers.layer(i - 2), u2_set)
+    witness = _u_overflow_witness(graph, layers, i - 1, k, ell, u2_set, deeper)
     if witness is not None:
-        return None, witness
+        return witness
     for u_prime in sorted(deeper):
         attached = sorted(v for v in u2_set if graph.has_edge(u_prime, v))
         if len(attached) >= ell:
             legs = [(mid, pendant_of[mid]) for mid in attached[:ell]]
-            return None, _sstar_witness(graph, u_prime, legs)
+            return _sstar_witness(graph, u_prime, legs)
     raise _contradiction("no pigeonhole vertex reaches ell members")
 
 
@@ -392,7 +395,7 @@ def extract_forbidden_witness(
     k: int,
     ell: int,
 ) -> Optional[ForbiddenWitness]:
-    """Re-run the construction for layer i and extract a witness on overflow.
+    """Run layer i's construction stages and extract a witness on overflow.
 
     Returns None when both stage bounds hold, i.e. the layer gives no evidence
     against {K*_k, S*_ell}-freeness. Otherwise returns an induced K*_k or
@@ -402,19 +405,12 @@ def extract_forbidden_witness(
     """
     if k < 1 or ell < 1:
         raise PreconditionError(f"k and ell must be positive, got ({k},{ell})")
-    if i < 2:
-        raise PreconditionError(f"witness extraction requires i >= 2, got {i}")
-    target = layers.layer(i)
-    if not target:
-        raise PreconditionError(f"layer {i} is empty")
-
-    x_set = maximal_independent_subset(graph, target)
-    u_set, witness = _layer_dominator(graph, layers, i, k, ell, x_set)
+    target, x_set, u_set = _stages_x_u(graph, layers, i)
+    witness = _u_overflow_witness(graph, layers, i, k, ell, x_set, u_set)
     if witness is not None:
         return witness
 
-    residual = target - closed_neighborhood(graph, u_set)
-    x0_set = minimal_dominating_subset(graph, x_set, residual)
+    residual, x0_set = _stage_x0(graph, target, x_set, u_set)
     if len(x0_set) <= (ramsey_upper(k, ell).bound - 1) * g_value(k, ell, i):
         return None
 

@@ -1,8 +1,8 @@
 """Command-line interface: one JSON report per run, deterministic key order.
 
 Exit status is 0 on success, 1 when `verify` finds a failing criterion, and 2
-on any input or usage error. Reports echo the input graph's canonical graph6
-string so a report alone identifies the instance up to isomorphism.
+on any input, usage or output error. Reports echo the input graph's canonical
+graph6 string so a report alone identifies the instance up to isomorphism.
 """
 
 from __future__ import annotations
@@ -423,10 +423,10 @@ def main(argv: Optional[list[str]] = None) -> int:
     args = parser.parse_args(argv)
     try:
         report, status = args.handler(args)
-    except DomcertError as exc:
+        _emit(report, args.output)
+    except (DomcertError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    _emit(report, args.output)
     return status
 
 

@@ -10,7 +10,6 @@ values; there is no wrapper class.
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass, field
 from typing import Iterable, Sequence
 
@@ -53,9 +52,6 @@ class Graph:
     @property
     def vertices(self) -> range:
         return range(self.n)
-
-    def vertex_set(self) -> frozenset[int]:
-        return frozenset(range(self.n))
 
     def has_edge(self, u: int, v: int) -> bool:
         return v in self.adj[u]
@@ -150,10 +146,10 @@ def parse_graph6(text: str) -> Graph:
         s = s[len(GRAPH6_HEADER):]
     if not s:
         raise Graph6FormatError("empty graph6 string")
-    data = s.encode("ascii", errors="replace")
-    for b in data:
-        if not 63 <= b <= 126:
-            raise Graph6FormatError(f"byte {b} outside graph6 range [63,126]")
+    for ch in s:
+        if not 63 <= ord(ch) <= 126:
+            raise Graph6FormatError(f"character {ch!r} outside graph6 range [63,126]")
+    data = s.encode("ascii")
     n, body = _decode_size(data)
     nbits = n * (n - 1) // 2
     nbytes = (nbits + 5) // 6
@@ -262,7 +258,7 @@ def to_edge_list(graph: Graph) -> str:
 
 
 # ---------------------------------------------------------------------------
-# Neighborhoods, domination relation, BFS
+# Neighborhoods and BFS
 # ---------------------------------------------------------------------------
 
 def _bad_id(v: int, n: int) -> GraphConstructionError:
@@ -280,28 +276,18 @@ def closed_neighborhood(graph: Graph, vertices: Iterable[int]) -> frozenset[int]
     return frozenset(result)
 
 
-def dominates(graph: Graph, dominators: Iterable[int], targets: Iterable[int]) -> bool:
-    """True iff every target lies in the closed neighborhood of the dominators."""
-    return set(targets) <= closed_neighborhood(graph, dominators)
-
-
 def bfs_layers(graph: Graph, root: int) -> LayerDecomposition:
     """Distance layers from root; trailing empty layers are omitted."""
     if not 0 <= root < graph.n:
         raise _bad_id(root, graph.n)
-    dist = {root: 0}
-    queue = deque([root])
-    layers: list[set[int]] = [{root}]
-    while queue:
-        v = queue.popleft()
-        for w in sorted(graph.adj[v]):
-            if w not in dist:
-                dist[w] = dist[v] + 1
-                if dist[w] == len(layers):
-                    layers.append(set())
-                layers[dist[w]].add(w)
-                queue.append(w)
-    return LayerDecomposition(root, tuple(frozenset(s) for s in layers))
+    seen = {root}
+    layers = [frozenset({root})]
+    while True:
+        frontier = frozenset().union(*(graph.adj[v] for v in layers[-1])) - seen
+        if not frontier:
+            return LayerDecomposition(root, tuple(layers))
+        layers.append(frontier)
+        seen |= frontier
 
 
 def eccentricity(graph: Graph, v: int) -> int:
@@ -372,28 +358,3 @@ def gen_s_star(n: int) -> Graph:
     edges = [(0, i) for i in range(1, n + 1)]
     edges.extend((i, n + i) for i in range(1, n + 1))
     return from_edge_list(2 * n + 1, edges)
-
-
-def kstar_clique_vertex(n: int, i: int) -> int:
-    """Id of x_i in gen_k_star(n), 1-based i."""
-    return i - 1
-
-
-def kstar_pendant_vertex(n: int, i: int) -> int:
-    """Id of y_i in gen_k_star(n), 1-based i."""
-    return n + i - 1
-
-
-def sstar_center_vertex() -> int:
-    """Id of x in gen_s_star(n)."""
-    return 0
-
-
-def sstar_middle_vertex(n: int, i: int) -> int:
-    """Id of y_i in gen_s_star(n), 1-based i."""
-    return i
-
-
-def sstar_tip_vertex(n: int, i: int) -> int:
-    """Id of z_i in gen_s_star(n), 1-based i."""
-    return n + i

@@ -23,9 +23,6 @@ class Embedding:
 
     mapping: tuple[int, ...]
 
-    def image(self) -> frozenset[int]:
-        return frozenset(self.mapping)
-
 
 def verify_embedding(host: Graph, pattern: Graph, embedding: Embedding) -> bool:
     """Check injectivity and the induced condition edge by edge."""

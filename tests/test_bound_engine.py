@@ -3,9 +3,10 @@
 from __future__ import annotations
 
 import math
+from itertools import product
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from conftest import connected_graphs, graphs
 from domcert.bound_engine import (
@@ -30,7 +31,7 @@ from domcert.graph_core import (
     gen_path,
     gen_s_star,
 )
-from domcert.subgraph import verify_embedding
+from domcert.subgraph import is_free, verify_embedding
 from domcert.verify import violation_suite
 
 
@@ -341,6 +342,29 @@ class TestWitnessExtraction:
         p5 = gen_path(5)
         with pytest.raises(PreconditionError):
             extract_forbidden_witness(p5, bfs_layers(p5, 0), 2, 0, 2)
+
+    @given(connected_graphs(min_n=3, max_n=8))
+    @example(gen_s_star(3))
+    @example(from_edge_list(7, [(0, 1), (0, 2), (1, 3), (1, 4), (2, 5), (2, 6), (3, 5), (4, 6)]))
+    def test_overflow_and_freeness_agree_with_extraction(self, g):
+        # Construction and extraction run the same stages: a layer set above
+        # f(k, l, i) must yield a witness, and a free graph must yield none.
+        # The examples overflow at (2, 2) in the U and the X0 stage.
+        for k, ell in product((1, 2, 3), repeat=2):
+            free = is_free(g, [gen_k_star(k), gen_s_star(ell)]).free
+            for root in range(g.n):
+                layers = bfs_layers(g, root)
+                for i in range(2, layers.depth + 1):
+                    witness = extract_forbidden_witness(g, layers, i, k, ell)
+                    if free:
+                        assert witness is None
+                    if len(dominate_layer(g, layers, i)) > f_value(k, ell, i):
+                        assert witness is not None
+                    if witness is not None:
+                        kstar = witness.shape == "kstar"
+                        size, pattern = (k, gen_k_star(k)) if kstar else (ell, gen_s_star(ell))
+                        assert witness.size == size
+                        assert verify_embedding(g, pattern, witness.embedding)
 
     def test_violation_suite_revalidates(self):
         for host, root, layer, k, ell, shape, size in violation_suite():

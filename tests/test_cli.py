@@ -253,6 +253,13 @@ class TestOutputAndVerify:
         data = json.loads(target.read_text())
         assert data["result"]["graph6"] == to_graph6(gen_path(3))
 
+    def test_unwritable_output_is_usage_error(self, tmp_path, capsys):
+        target = tmp_path / "missing" / "report.json"
+        err = run_error(
+            ["--output", str(target), "gen", "--family", "path", "--size", "3"], capsys
+        )
+        assert str(target) in err
+
     def test_verify_selected_suites_deterministic(self, capsys):
         argv = ["verify", "--suite", "bound-table", "--suite", "roundtrip"]
         status = main(argv)

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given
 
 from conftest import graphs
+from domcert.domination import is_dominating
 from domcert.errors import (
     DisconnectedGraphError,
     EdgeListFormatError,
@@ -16,7 +17,6 @@ from domcert.graph_core import (
     Graph,
     bfs_layers,
     closed_neighborhood,
-    dominates,
     eccentricity,
     from_edge_list,
     gen_complete,
@@ -105,6 +105,11 @@ class TestGraph6:
         with pytest.raises(Graph6FormatError, match="range"):
             parse_graph6("A!")
 
+    def test_non_ascii_out_of_range(self):
+        # Read as "?" (byte 63), the character would pass as an all-zero group.
+        with pytest.raises(Graph6FormatError, match="range"):
+            parse_graph6("B\u00e9")
+
     def test_trailing_garbage(self):
         with pytest.raises(Graph6FormatError, match="trailing"):
             parse_graph6("A__")
@@ -173,12 +178,12 @@ class TestNeighborhoods:
 
     def test_dominates_center(self):
         p3 = gen_path(3)
-        assert dominates(p3, {1}, range(3))
-        assert not dominates(p3, {0}, {2})
+        assert is_dominating(p3, {1})
+        assert 2 not in closed_neighborhood(p3, {0})
 
     def test_pendants_dominate(self):
         g = gen_k_star(3)
-        assert dominates(g, {3, 4, 5}, range(6))
+        assert is_dominating(g, {3, 4, 5})
 
     def test_invalid_id_rejected(self):
         with pytest.raises(GraphConstructionError, match="outside"):
