@@ -128,10 +128,6 @@ def _parse_family_list(text: str) -> list[Graph]:
     return graphs
 
 
-def _triple(args: argparse.Namespace) -> tuple[Optional[int], Optional[int], Optional[int]]:
-    return args.k, args.l, args.m
-
-
 # ---------------------------------------------------------------------------
 # Command handlers: each returns (report dict, exit status)
 # ---------------------------------------------------------------------------
@@ -150,7 +146,7 @@ def _cmd_gamma(args) -> tuple[dict, int]:
 
 def _cmd_free(args) -> tuple[dict, int]:
     graph, descriptor = _load_graph(args)
-    k, ell, m = _triple(args)
+    k, ell, m = args.k, args.l, args.m
     if k is None and ell is None and m is None:
         raise UsageError("free needs at least one of --k, --l, --m")
     patterns: list[tuple[str, int, Graph]] = []
@@ -200,7 +196,7 @@ def _report_bound(report_obj) -> dict:
 
 def _cmd_dominate(args) -> tuple[dict, int]:
     graph, descriptor = _load_graph(args)
-    k, ell, m = _triple(args)
+    k, ell, m = args.k, args.l, args.m
     dominating, bound = construct_dominating_set(
         graph,
         root=args.root,

@@ -36,26 +36,20 @@ def gamma_exact(graph: Graph) -> GammaResult:
         raise PreconditionError("domination number of the empty graph is undefined")
 
     full = (1 << n) - 1
-    closed_masks = []
-    for v in range(n):
-        mask = 1 << v
-        for u in graph.adj[v]:
-            mask |= 1 << u
-        closed_masks.append(mask)
-    max_cover = max(bin(m).count("1") for m in closed_masks)
+    closed_masks = [mask | 1 << v for v, mask in enumerate(graph.masks)]
+    max_cover = max(mask.bit_count() for mask in closed_masks)
+    # Branch order at an undominated vertex: its closed neighbors, ascending.
+    branches = [sorted(graph.adj[v] | {v}) for v in range(n)]
 
     def search(target: int, chosen: list[int], covered: int) -> Optional[list[int]]:
         if covered == full:
             return list(chosen)
-        remaining = target - len(chosen)
-        if remaining == 0:
-            return None
-        missing = bin(full & ~covered).count("1")
-        if remaining * max_cover < missing:
-            return None
         uncovered = full & ~covered
+        # Also ends a full selection: it still leaves a vertex uncovered.
+        if (target - len(chosen)) * max_cover < uncovered.bit_count():
+            return None
         v = (uncovered & -uncovered).bit_length() - 1
-        for u in sorted(closed_neighborhood(graph, [v])):
+        for u in branches[v]:
             chosen.append(u)
             found = search(target, chosen, covered | closed_masks[u])
             if found is not None:
@@ -145,10 +139,21 @@ def private_neighbors(
 
 
 def independence_number(graph: Graph) -> int:
-    """Largest size of an independent set, by subset scan on the complement."""
+    """Largest size of an independent set, by exact bitmask branch and bound.
+
+    Branches on the lowest vertex v of the candidate pool: take v (removing its
+    closed neighborhood from the pool) or drop it. A branch is cut when the
+    chosen size plus the whole pool cannot beat the best size found so far.
+    """
+    masks = graph.masks
     best = 0
-    for size in range(graph.n, 0, -1):
-        for subset in combinations(range(graph.n), size):
-            if is_independent(graph, subset):
-                return size
+    stack = [((1 << graph.n) - 1, 0)]  # (pool, size chosen); no recursion depth limit
+    while stack:
+        pool, size = stack.pop()
+        if not pool:
+            best = max(best, size)
+        elif size + pool.bit_count() > best:
+            low = pool & -pool
+            stack.append((pool ^ low, size))
+            stack.append((pool & ~(masks[low.bit_length() - 1] | low), size + 1))
     return best

@@ -2,7 +2,8 @@
 
 Graphs are simple and undirected, with dense 0-based vertex ids. A ``Graph`` is
 immutable after construction: adjacency is stored as a tuple of frozensets, so
-instances can be shared freely and used as dict keys.
+instances can be shared freely and used as dict keys. ``Graph.masks`` is a
+derived bitmask view of it, built on first use; it is not part of equality.
 
 Vertex sets throughout the library are plain ``frozenset[int]`` / ``set[int]``
 values; there is no wrapper class.
@@ -11,6 +12,8 @@ values; there is no wrapper class.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
+from math import isqrt
 from typing import Iterable, Sequence
 
 from .errors import (
@@ -52,6 +55,11 @@ class Graph:
     @property
     def vertices(self) -> range:
         return range(self.n)
+
+    @cached_property
+    def masks(self) -> tuple[int, ...]:
+        """Open neighbourhoods as bitmasks: bit u of masks[v] is set iff uv is an edge."""
+        return tuple(sum(1 << u for u in nbrs) for nbrs in self.adj)
 
     def has_edge(self, u: int, v: int) -> bool:
         return v in self.adj[u]
@@ -157,40 +165,30 @@ def parse_graph6(text: str) -> Graph:
         raise Graph6FormatError(
             f"trailing garbage: {len(body)} body bytes where at most {nbytes} expected"
         )
-    bits = []
-    for b in body:
+    # Visit set bits only; body bit k (high bit first) is u < v, k = v(v-1)/2 + u.
+    adj: dict[int, set[int]] = {}
+    for i, b in enumerate(body):
         val = b - 63
-        bits.extend((val >> shift) & 1 for shift in range(5, -1, -1))
-    if any(bits[nbits:]):
-        raise Graph6FormatError("nonzero padding bits")
-    bits.extend([0] * (nbits - len(bits)))
-    adj: list[set[int]] = [set() for _ in range(n)]
-    idx = 0
-    for v in range(1, n):
-        for u in range(v):
-            if bits[idx]:
-                adj[u].add(v)
-                adj[v].add(u)
-            idx += 1
-    return Graph(n, tuple(frozenset(s) for s in adj))
+        while val:
+            top = val.bit_length() - 1
+            val ^= 1 << top
+            k = 6 * i + 5 - top
+            if k >= nbits:
+                raise Graph6FormatError("nonzero padding bits")
+            v = (1 + isqrt(1 + 8 * k)) // 2
+            u = k - v * (v - 1) // 2
+            adj.setdefault(u, set()).add(v)
+            adj.setdefault(v, set()).add(u)
+    return Graph(n, tuple(frozenset(adj.get(v, ())) for v in range(n)))
 
 
 def to_graph6(graph: Graph) -> str:
     """Encode a graph as a canonical-length graph6 string (no header, no newline)."""
     n = graph.n
-    bits = []
-    for v in range(1, n):
-        for u in range(v):
-            bits.append(1 if graph.has_edge(u, v) else 0)
-    while len(bits) % 6:
-        bits.append(0)
-    out = bytearray(_encode_size(n))
-    for i in range(0, len(bits), 6):
-        val = 0
-        for b in bits[i:i + 6]:
-            val = (val << 1) | b
-        out.append(val + 63)
-    return out.decode("ascii")
+    bits = "".join("1" if u in graph.adj[v] else "0" for v in range(1, n) for u in range(v))
+    bits += "0" * (-len(bits) % 6)
+    body = bytes(int(bits[i:i + 6], 2) + 63 for i in range(0, len(bits), 6))
+    return (_encode_size(n) + body).decode("ascii")
 
 
 def _decode_size(data: bytes) -> tuple[int, bytes]:

@@ -2,14 +2,16 @@
 
 The search is exhaustive backtracking, so a "no embedding" answer is a
 certificate of freeness, not a heuristic miss. Pattern vertices are assigned
-in order of descending pattern degree (ascending id on ties) and host
-candidates are tried in ascending id, which makes every returned embedding
-deterministic and therefore usable in golden tests.
+in order of descending pattern degree (ascending id on ties); each step's host
+candidates are computed as one bitmask but still tried in ascending id, which
+makes every returned embedding deterministic and therefore usable in golden
+tests. induced_subgraph_brute is the independent oracle; it shares no code.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from itertools import combinations, permutations
 from typing import Optional, Sequence
 
@@ -45,54 +47,92 @@ def contains_induced(host: Graph, pattern: Graph) -> Optional[Embedding]:
         return None
     if pattern.n == 0:
         return Embedding(())
+    step_of, need, links, below = _plan(pattern)
+    # Degree filter: per step, the host vertices of at least its pattern degree.
+    at_least = {
+        d: sum(1 << v for v, nbrs in enumerate(host.adj) if len(nbrs) >= d)
+        for d in set(need)
+    }
+    found = _first_assignment(host.masks, [at_least[d] for d in need], links, below)
+    return None if found is None else Embedding(tuple(found[s] for s in step_of))
 
+
+@lru_cache(maxsize=256)
+def _plan(pattern: Graph):
+    """Step of each vertex; per step its degree, earlier-step links and bounds.
+
+    links[s] pairs each earlier step q with 0 if their vertices are adjacent,
+    else -1 (XOR with -1 complements a mask). below[j] holds each step i < j
+    such that an automorphism fixing the vertices of steps before i maps step
+    i's vertex to step j's: it maps an embedding with image(j) < image(i) to a
+    lexicographically smaller one, so the bounds never change the result.
+    """
     order = sorted(range(pattern.n), key=lambda p: (-pattern.degree(p), p))
-    # Pattern neighbors/non-neighbors among already-assigned vertices, per step.
-    earlier = [[] for _ in range(pattern.n)]
-    for step, p in enumerate(order):
-        for prev_step in range(step):
-            q = order[prev_step]
-            earlier[step].append((prev_step, pattern.has_edge(p, q)))
+    need = [pattern.degree(p) for p in order]
+    links = tuple(
+        tuple((q, 0 if pattern.has_edge(p, order[q]) else -1) for q in range(step))
+        for step, p in enumerate(order)
+    )
+    full = (1 << pattern.n) - 1
+    below: list[tuple[int, ...]] = [() for _ in order]
+    for i, j in combinations(range(pattern.n), 2):
+        if need[i] == need[j]:
+            pins = [1 << p for p in order[:i]] + [1 << order[j]] + [full] * (len(order) - i - 1)
+            if _first_assignment(pattern.masks, pins, links, [()] * len(order)) is not None:
+                below[j] += (i,)
+    step_of = tuple(order.index(p) for p in range(pattern.n))
+    return step_of, tuple(need), links, tuple(below)
 
-    assignment = [-1] * pattern.n  # by step index
-    used = [False] * host.n
 
-    def candidates_ok(step: int, v: int) -> bool:
-        if host.degree(v) < pattern.degree(order[step]):
-            return False
-        for prev_step, need_edge in earlier[step]:
-            if host.has_edge(assignment[prev_step], v) != need_edge:
-                return False
-        return True
+def _first_assignment(masks, allowed, links, below) -> Optional[list[int]]:
+    """Lexicographically first assignment of host vertices to the steps, or None.
 
-    def search(step: int) -> bool:
-        if step == pattern.n:
-            return True
-        for v in range(host.n):
-            if not used[v] and candidates_ok(step, v):
-                assignment[step] = v
-                used[v] = True
-                if search(step + 1):
-                    return True
-                used[v] = False
-        assignment[step] = -1
-        return False
-
-    if not search(0):
-        return None
-    mapping = [0] * pattern.n
-    for step, p in enumerate(order):
-        mapping[p] = assignment[step]
-    return Embedding(tuple(mapping))
+    Step s takes an unused vertex of allowed[s], adjacent or not to each earlier
+    image as links[s] says, and above the images of the steps in below[s].
+    """
+    size = len(allowed)
+    assignment = [0] * size
+    pending = [0] * size
+    used = [0] * size
+    pending[0] = allowed[0]
+    step = 0
+    while True:
+        cand = pending[step]
+        if not cand:
+            if step == 0:
+                return None
+            step -= 1
+            continue
+        low = cand & -cand
+        pending[step] = cand ^ low
+        assignment[step] = low.bit_length() - 1
+        if step + 1 == size:
+            return assignment
+        step += 1
+        used[step] = used[step - 1] | low
+        cand = allowed[step] & ~used[step]
+        for q, flip in links[step]:
+            cand &= masks[assignment[q]] ^ flip
+        for q in below[step]:
+            cand &= -2 << assignment[q]
+        pending[step] = cand
 
 
 def induced_subgraph_brute(host: Graph, pattern: Graph) -> Optional[Embedding]:
-    """Oracle twin of contains_induced: scan all vertex subsets and labelings."""
+    """Oracle twin of contains_induced: scan all vertex subsets and labelings.
+
+    A subset whose induced degree sequence differs from the pattern's cannot
+    hold an induced copy, so its labelings are skipped; the first embedding in
+    (subset, permutation) lexicographic order is still the one returned.
+    """
     if pattern.n > host.n:
         return None
     if pattern.n == 0:
         return Embedding(())
+    degrees = pattern.degree_sequence()
     for subset in combinations(range(host.n), pattern.n):
+        if host.induced(subset).degree_sequence() != degrees:
+            continue
         for perm in permutations(subset):
             emb = Embedding(perm)
             if verify_embedding(host, pattern, emb):

@@ -46,7 +46,7 @@ from .graph_core import (
     parse_graph6,
     to_graph6,
 )
-from .subgraph import is_free, verify_embedding
+from .subgraph import contains_induced, induced_subgraph_brute, is_free, verify_embedding
 
 DEFAULT_SEED = 2023
 
@@ -333,8 +333,6 @@ def _oracle_hosts(seed: int) -> list[Graph]:
 
 
 def _suite_oracles(seed: int) -> CriterionResult:
-    from .subgraph import contains_induced, induced_subgraph_brute
-
     gamma_checked = 0
     for graph in corpus_graphs(7):
         gamma_checked += 1

@@ -2,10 +2,13 @@
 
 from __future__ import annotations
 
+from itertools import combinations
+
 import pytest
 from hypothesis import given
 
 from conftest import connected_graphs, graphs
+from domcert.corpus import corpus_graphs
 from domcert.domination import (
     gamma_brute_force,
     gamma_exact,
@@ -25,6 +28,15 @@ from domcert.graph_core import (
     gen_path,
     gen_s_star,
 )
+
+
+def reference_alpha(graph):
+    """Literal subset scan from the largest size down."""
+    for size in range(graph.n, 0, -1):
+        for subset in combinations(range(graph.n), size):
+            if is_independent(graph, subset):
+                return size
+    return 0
 
 
 class TestGammaExact:
@@ -53,6 +65,19 @@ class TestGammaExact:
 
     def test_isolated_vertices(self):
         assert gamma_exact(gen_empty(4)).gamma == 4
+
+    def test_golden_witnesses(self):
+        # The witnesses gamma_exact returned before its bitmask rewrite.
+        for n in range(1, 31):
+            expected = {
+                0: set(range(1, n, 3)),
+                1: {0} | set(range(2, n, 3)),
+                2: set(range(0, n, 3)),
+            }[n % 3]
+            assert gamma_exact(gen_path(n)).witness == expected, n
+        for n in range(1, 9):
+            assert gamma_exact(gen_k_star(n)).witness == set(range(n))
+            assert gamma_exact(gen_s_star(n)).witness == set(range(1, n + 1))
 
     @given(graphs(min_n=1, max_n=7))
     def test_witness_is_minimum(self, g):
@@ -170,6 +195,20 @@ class TestIndependenceNumber:
 
     def test_path(self):
         assert independence_number(gen_path(5)) == 3
+
+    def test_extremes_up_to_twenty(self):
+        for n in range(21):
+            assert independence_number(gen_empty(n)) == n
+        for n in range(1, 21):
+            assert independence_number(gen_complete(n)) == 1
+
+    def test_matches_reference_on_corpus(self):
+        for g in corpus_graphs(7):
+            assert independence_number(g) == reference_alpha(g)
+
+    @given(graphs())
+    def test_matches_reference(self, g):
+        assert independence_number(g) == reference_alpha(g)
 
     def test_small_forces_small_gamma(self):
         # Independence number below k bounds the domination number by k-1.

@@ -57,6 +57,16 @@ class TestGraphType:
         assert sub.n == 3
         assert sub.edges() == [(0, 1), (1, 2)]
 
+    def test_masks_mirror_adjacency(self):
+        g = gen_k_star(3)
+        assert g.masks == tuple(sum(1 << u for u in g.adj[v]) for v in g.vertices)
+        assert g.masks[0] == 0b1110  # clique partners 1, 2 and pendant 3
+
+    def test_masks_do_not_affect_equality(self):
+        g, h = gen_path(4), gen_path(4)
+        g.masks
+        assert g == h and hash(g) == hash(h)
+
     def test_relabel_roundtrip(self):
         g = gen_k_star(2)
         order = [3, 1, 0, 2]
@@ -119,9 +129,18 @@ class TestGraph6:
         with pytest.raises(Graph6FormatError, match="padding"):
             parse_graph6("A" + chr(63 + 1))
 
+    def test_trailing_garbage_reported_before_padding(self):
+        with pytest.raises(Graph6FormatError, match="trailing"):
+            parse_graph6("A" + chr(63 + 1) + "_")
+
     def test_empty_string(self):
         with pytest.raises(Graph6FormatError, match="empty"):
             parse_graph6("   ")
+
+    def test_largest_order_with_empty_body(self):
+        # Four bytes declare n = 258047; the absent body reads as all zero bits.
+        g = parse_graph6("~}~~")
+        assert g.n == 258047 and g.edge_count() == 0
 
     def test_large_order_size_field(self):
         g = gen_path(100)

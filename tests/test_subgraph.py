@@ -2,10 +2,14 @@
 
 from __future__ import annotations
 
+import hashlib
+from itertools import combinations, permutations
+
 import pytest
 from hypothesis import given
 
 from conftest import connected_graphs, graphs
+from domcert.corpus import corpus_graphs
 from domcert.errors import DisconnectedGraphError, PreconditionError
 from domcert.graph_core import (
     from_edge_list,
@@ -34,6 +38,21 @@ def cycle(n):
     return from_edge_list(n, [(i, (i + 1) % n) for i in range(n)])
 
 
+def reference_scan(host, pattern):
+    """Literal subset-by-permutation scan, the first induced copy in lex order."""
+    for subset in combinations(range(host.n), pattern.n):
+        for perm in permutations(subset):
+            if verify_embedding(host, pattern, Embedding(perm)):
+                return Embedding(perm)
+    return None
+
+
+# sha256 over repr(contains_induced(host, pattern).mapping or None) + "\n" for
+# corpus hosts (n <= 6) x corpus patterns (n <= 5), as produced by the
+# per-vertex backtracking that preceded the bitmask search.
+CONTAINMENT_DIGEST = "b9d24be888ee7c0254859d041b6f6180cf3119e890ee3960e2db64f4db4e9dfd"
+
+
 class TestContainsInduced:
     def test_claw_inside_spider(self):
         emb = contains_induced(gen_s_star(3), claw())
@@ -57,6 +76,29 @@ class TestContainsInduced:
         second = contains_induced(gen_path(6), gen_path(4))
         assert first == second
 
+    def test_corpus_embeddings_byte_identical(self):
+        digest = hashlib.sha256()
+        hosts = corpus_graphs(6)
+        patterns = [g for g in hosts if g.n <= 5]
+        for host in hosts:
+            for pattern in patterns:
+                emb = contains_induced(host, pattern)
+                digest.update(repr(None if emb is None else emb.mapping).encode() + b"\n")
+        assert digest.hexdigest() == CONTAINMENT_DIGEST
+
+    @given(graphs(max_n=7), graphs(max_n=5))
+    def test_first_embedding_in_step_order(self, host, pattern):
+        # Pattern vertices by descending degree, ascending id; the embedding
+        # returned is the valid one whose images in that order are smallest.
+        order = sorted(range(pattern.n), key=lambda p: (-pattern.degree(p), p))
+        valid = [
+            perm
+            for perm in permutations(range(host.n), pattern.n)
+            if verify_embedding(host, pattern, Embedding(perm))
+        ]
+        first = min(valid, key=lambda m: [m[p] for p in order], default=None)
+        assert contains_induced(host, pattern) == (None if first is None else Embedding(first))
+
     @given(graphs(max_n=7), graphs(max_n=4))
     def test_agrees_with_brute_force(self, host, pattern):
         fast = contains_induced(host, pattern)
@@ -66,6 +108,17 @@ class TestContainsInduced:
             assert verify_embedding(host, pattern, fast)
         if slow is not None:
             assert verify_embedding(host, pattern, slow)
+
+
+class TestBruteOracle:
+    @given(graphs(max_n=7), graphs(max_n=5))
+    def test_first_embedding_of_reference_scan(self, host, pattern):
+        assert induced_subgraph_brute(host, pattern) == reference_scan(host, pattern)
+
+    def test_first_copy_and_absence(self):
+        # Host P_6 and pattern P_4: the first subset {0,1,2,3} already works.
+        assert induced_subgraph_brute(gen_path(6), gen_path(4)) == Embedding((0, 1, 2, 3))
+        assert induced_subgraph_brute(cycle(5), gen_complete(3)) is None
 
 
 class TestVerifyEmbedding:
