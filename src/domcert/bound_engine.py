@@ -36,15 +36,15 @@ from .errors import (
 from .graph_core import (
     Graph,
     LayerDecomposition,
+    _members,
     bfs_layers,
-    closed_neighborhood,
     gen_k_star,
     gen_path,
     gen_s_star,
     is_connected,
     min_eccentricity_vertex,
 )
-from .subgraph import Embedding, is_free, verify_embedding
+from .subgraph import Embedding, _first_assignment, is_free, verify_embedding
 
 # Established small Ramsey numbers beyond the min(s,t) <= 2 identities,
 # keyed with s <= t.
@@ -130,29 +130,6 @@ class RamseyWitness:
     vertices: frozenset[int]
 
 
-def _find_uniform(
-    graph: Graph, pool: list[int], size: int, want_edges: bool
-) -> Optional[list[int]]:
-    """First clique (want_edges) or independent set of the size, lexicographic."""
-    if size == 0:
-        return []
-    chosen: list[int] = []
-
-    def extend(start: int) -> bool:
-        if len(chosen) == size:
-            return True
-        for idx in range(start, len(pool)):
-            v = pool[idx]
-            if all(graph.has_edge(v, u) == want_edges for u in chosen):
-                chosen.append(v)
-                if extend(idx + 1):
-                    return True
-                chosen.pop()
-        return False
-
-    return chosen if extend(0) else None
-
-
 def ramsey_witness(
     graph: Graph, subset: Iterable[int], s: int, t: int
 ) -> Optional[RamseyWitness]:
@@ -166,12 +143,16 @@ def ramsey_witness(
     pool = sorted(set(subset))
     if any(not 0 <= v < graph.n for v in pool):
         raise PreconditionError("subset contains ids outside the graph")
-    clique = _find_uniform(graph, pool, s, want_edges=True)
-    if clique is not None:
-        return RamseyWitness("clique", frozenset(clique))
-    independent = _find_uniform(graph, pool, t, want_edges=False)
-    if independent is not None:
-        return RamseyWitness("independent", frozenset(independent))
+    allowed = sum(1 << v for v in pool)
+    # Ascending steps, each linked to all earlier ones: the lexicographically first set.
+    for kind, size, flip in (("clique", s, 0), ("independent", t, -1)):
+        if size <= len(pool):
+            pairs = tuple((q, flip) for q in range(size))
+            links = [pairs[:step] for step in range(size)]
+            below = [()] + [(step - 1,) for step in range(1, size)]
+            found = _first_assignment(graph.masks, [allowed] * size, links, below)
+            if found is not None:
+                return RamseyWitness(kind, frozenset(found))
     return None
 
 
@@ -194,7 +175,10 @@ def _stage_x0(
     graph: Graph, target: frozenset[int], x_set: frozenset[int], u_set: frozenset[int]
 ) -> tuple[frozenset[int], frozenset[int]]:
     """The residual of layer i that U misses, and stage X0 dominating it; see dominate_layer."""
-    residual = target - closed_neighborhood(graph, u_set)
+    covered = sum(1 << u for u in u_set)
+    for u in u_set:
+        covered |= graph.masks[u]
+    residual = frozenset(_members(sum(1 << v for v in target) & ~covered))
     return residual, minimal_dominating_subset(graph, x_set, residual)
 
 
@@ -380,8 +364,9 @@ def _u_overflow_witness(
     witness = _u_overflow_witness(graph, layers, i - 1, k, ell, u2_set, deeper)
     if witness is not None:
         return witness
+    u2_mask = sum(1 << v for v in u2_set)
     for u_prime in sorted(deeper):
-        attached = sorted(v for v in u2_set if graph.has_edge(u_prime, v))
+        attached = _members(graph.masks[u_prime] & u2_mask)
         if len(attached) >= ell:
             legs = [(mid, pendant_of[mid]) for mid in attached[:ell]]
             return _sstar_witness(graph, u_prime, legs)
@@ -420,8 +405,9 @@ def extract_forbidden_witness(
     # pendants) or S*_ell (u' as center, the x's as middles, Y as tips).
     pendant_of = private_neighbors(graph, x0_set, residual)
     threshold = ramsey_upper(k, ell).bound
+    x0_mask = sum(1 << x for x in x0_set)
     for u_prime in sorted(u_set):
-        attached = sorted(x for x in x0_set if graph.has_edge(u_prime, x))
+        attached = _members(graph.masks[u_prime] & x0_mask)
         if len(attached) >= threshold:
             middle_of = {pendant_of[x]: x for x in attached}
             dichotomy = ramsey_witness(graph, frozenset(middle_of), k, ell)

@@ -4,10 +4,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import combinations
-from typing import Iterable, Optional
+from typing import Iterable
 
 from .errors import PreconditionError
-from .graph_core import Graph, closed_neighborhood
+from .graph_core import Graph, _check_ids, _members, closed_neighborhood
 
 
 @dataclass(frozen=True)
@@ -20,8 +20,7 @@ class GammaResult:
 
 def is_dominating(graph: Graph, subset: Iterable[int]) -> bool:
     """True iff every vertex is in the subset or adjacent to it."""
-    closed = closed_neighborhood(graph, subset)
-    return len(closed) == graph.n
+    return len(closed_neighborhood(graph, subset)) == graph.n
 
 
 def gamma_exact(graph: Graph) -> GammaResult:
@@ -29,7 +28,8 @@ def gamma_exact(graph: Graph) -> GammaResult:
 
     Branches on the lowest-id undominated vertex; one of its closed neighbors
     must be in any dominating set, so the branching factor is its closed
-    degree. Bitmasks keep the cover bookkeeping cheap.
+    degree. Bitmasks keep the cover bookkeeping cheap, and an explicit stack
+    replaces recursion, so the depth is not limited.
     """
     n = graph.n
     if n == 0:
@@ -38,29 +38,23 @@ def gamma_exact(graph: Graph) -> GammaResult:
     full = (1 << n) - 1
     closed_masks = [mask | 1 << v for v, mask in enumerate(graph.masks)]
     max_cover = max(mask.bit_count() for mask in closed_masks)
-    # Branch order at an undominated vertex: its closed neighbors, ascending.
-    branches = [sorted(graph.adj[v] | {v}) for v in range(n)]
-
-    def search(target: int, chosen: list[int], covered: int) -> Optional[list[int]]:
-        if covered == full:
-            return list(chosen)
-        uncovered = full & ~covered
-        # Also ends a full selection: it still leaves a vertex uncovered.
-        if (target - len(chosen)) * max_cover < uncovered.bit_count():
-            return None
-        v = (uncovered & -uncovered).bit_length() - 1
-        for u in branches[v]:
-            chosen.append(u)
-            found = search(target, chosen, covered | closed_masks[u])
-            if found is not None:
-                return found
-            chosen.pop()
-        return None
-
     for target in range(1, n + 1):
-        found = search(target, [], 0)
-        if found is not None:
-            return GammaResult(target, frozenset(found))
+        stack = [(0, 0)]  # (covered, chosen), both as vertex masks
+        while stack:
+            covered, chosen = stack.pop()
+            if covered == full:
+                return GammaResult(target, frozenset(_members(chosen)))
+            uncovered = full & ~covered
+            # Also ends a full selection: it still leaves a vertex uncovered.
+            if (target - chosen.bit_count()) * max_cover < uncovered.bit_count():
+                continue
+            # Branch on the lowest undominated vertex's closed neighbors; push
+            # them in descending id so they are tried in ascending id.
+            branch = closed_masks[(uncovered & -uncovered).bit_length() - 1]
+            while branch:
+                u = branch.bit_length() - 1
+                branch ^= 1 << u
+                stack.append((covered | closed_masks[u], chosen | 1 << u))
     raise AssertionError("vertex set always dominates itself")
 
 
@@ -82,31 +76,44 @@ def minimal_dominating_subset(
 
     One pass over candidates in descending id, dropping each vertex whose
     removal keeps domination, so low-id vertices survive ties. The result
-    depends only on the inputs, never on iteration luck.
+    depends only on the inputs, never on iteration luck. A vertex is dropped
+    iff the kept vertices and the candidates not yet visited dominate every
+    target it dominates, which keeps the pass linear.
     """
+    order = sorted(set(candidates), reverse=True)
+    _check_ids(graph, order)
     target_set = set(targets)
-    current = set(candidates)
-    if not target_set <= closed_neighborhood(graph, current):
+    target_mask = sum(1 << t for t in target_set if 0 <= t < graph.n)
+    closed = [(graph.masks[v] | 1 << v) & target_mask for v in order]
+    rest = [0] * (len(order) + 1)  # rest[j]: the targets order[j:] dominate
+    for j in range(len(order) - 1, -1, -1):
+        rest[j] = rest[j + 1] | closed[j]
+    if target_mask.bit_count() < len(target_set) or target_mask & ~rest[0]:
         raise PreconditionError("candidate set does not dominate the target set")
-    for v in sorted(current, reverse=True):
-        trial = current - {v}
-        if target_set <= closed_neighborhood(graph, trial):
-            current = trial
-    return frozenset(current)
+    kept: list[int] = []
+    cover = 0
+    for j, v in enumerate(order):
+        if closed[j] & ~(cover | rest[j + 1]):
+            kept.append(v)
+            cover |= closed[j]
+    return frozenset(kept)
 
 
 def maximal_independent_subset(graph: Graph, pool: Iterable[int]) -> frozenset[int]:
     """Greedy ascending-id maximal independent subset of the pool."""
-    chosen: set[int] = set()
-    for v in sorted(set(pool)):
-        if all(not graph.has_edge(v, u) for u in chosen):
-            chosen.add(v)
-    return frozenset(chosen)
+    order = sorted(set(pool))
+    _check_ids(graph, order)
+    chosen = 0
+    for v in order:
+        if not graph.masks[v] & chosen:
+            chosen |= 1 << v
+    return frozenset(_members(chosen))
 
 
 def is_independent(graph: Graph, subset: Iterable[int]) -> bool:
     """True iff no two subset vertices are adjacent."""
     vs = sorted(set(subset))
+    _check_ids(graph, vs)
     return all(
         not graph.has_edge(vs[i], vs[j])
         for i in range(len(vs))
@@ -123,18 +130,22 @@ def private_neighbors(
     dominator. Minimality of the dominating set over the targets guarantees
     one exists for every dominator; absence means the precondition was broken.
     """
-    target_set = set(targets)
+    order = sorted(dominators)
+    _check_ids(graph, order)
+    target_mask = sum(1 << t for t in set(targets) if 0 <= t < graph.n)
+    closed = [(graph.masks[u] | 1 << u) & target_mask for u in order]
+    once = twice = 0  # targets dominated by at least one, at least two dominators
+    for mask in closed:
+        twice |= once & mask
+        once |= mask
     private: dict[int, int] = {}
-    for u in sorted(dominators):
-        others = dominators - {u}
-        covered_by_others = closed_neighborhood(graph, others) if others else set()
-        own = closed_neighborhood(graph, [u]) & target_set
-        mine = sorted(own - covered_by_others)
+    for u, mask in zip(order, closed):
+        mine = mask & ~twice
         if not mine:
             raise PreconditionError(
                 f"dominator {u} has no private target; the set is not minimal"
             )
-        private[u] = mine[0]
+        private[u] = (mine & -mine).bit_length() - 1
     return private
 
 

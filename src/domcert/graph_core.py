@@ -1,9 +1,11 @@
 """Core graph representation, graph6/edge-list I/O, BFS layers, and family generators.
 
 Graphs are simple and undirected, with dense 0-based vertex ids. A ``Graph`` is
-immutable after construction: adjacency is stored as a tuple of frozensets, so
-instances can be shared freely and used as dict keys. ``Graph.masks`` is a
-derived bitmask view of it, built on first use; it is not part of equality.
+immutable after construction, so instances can be shared freely and used as
+dict keys. One rule: kernels read masks, checkers read adj. Every search and
+construction kernel runs on the bitmasks ``Graph.masks``; the frozensets
+``Graph.adj`` are read only by validation and equality, the codecs, the small
+``Graph`` methods and the literal checkers and oracles.
 
 Vertex sets throughout the library are plain ``frozenset[int]`` / ``set[int]``
 values; there is no wrapper class.
@@ -259,32 +261,45 @@ def to_edge_list(graph: Graph) -> str:
 # Neighborhoods and BFS
 # ---------------------------------------------------------------------------
 
-def _bad_id(v: int, n: int) -> GraphConstructionError:
-    return GraphConstructionError(f"vertex id {v} outside [0,{n})")
+def _check_ids(graph: Graph, vertices: Iterable[int]) -> None:
+    """Reject any vertex id outside the graph."""
+    for v in vertices:
+        if not 0 <= v < graph.n:
+            raise GraphConstructionError(f"vertex id {v} outside [0,{graph.n})")
+
+
+def _members(mask: int) -> list[int]:
+    """The vertices whose bits are set in mask, ascending."""
+    bits = bin(mask)[:1:-1]  # bit 0 first, without the "0b" prefix
+    out = []
+    v = bits.find("1")
+    while v >= 0:
+        out.append(v)
+        v = bits.find("1", v + 1)
+    return out
 
 
 def closed_neighborhood(graph: Graph, vertices: Iterable[int]) -> frozenset[int]:
     """N[X]: the members of X together with all their neighbors."""
-    result: set[int] = set()
-    for v in vertices:
-        if not 0 <= v < graph.n:
-            raise _bad_id(v, graph.n)
-        result.add(v)
-        result |= graph.adj[v]
-    return frozenset(result)
+    members = frozenset(vertices)
+    _check_ids(graph, members)
+    return members.union(*(graph.adj[v] for v in members))
 
 
 def bfs_layers(graph: Graph, root: int) -> LayerDecomposition:
     """Distance layers from root; trailing empty layers are omitted."""
-    if not 0 <= root < graph.n:
-        raise _bad_id(root, graph.n)
-    seen = {root}
-    layers = [frozenset({root})]
+    _check_ids(graph, (root,))
+    masks = graph.masks
+    seen = 1 << root
+    layers = [frozenset((root,))]
     while True:
-        frontier = frozenset().union(*(graph.adj[v] for v in layers[-1])) - seen
+        reach = 0
+        for v in layers[-1]:
+            reach |= masks[v]
+        frontier = reach & ~seen
         if not frontier:
             return LayerDecomposition(root, tuple(layers))
-        layers.append(frontier)
+        layers.append(frozenset(_members(frontier)))
         seen |= frontier
 
 
@@ -297,12 +312,7 @@ def min_eccentricity_vertex(graph: Graph) -> int:
     """Vertex of minimum eccentricity, lowest id on ties."""
     if graph.n == 0:
         raise DisconnectedGraphError("empty graph has no vertices")
-    best, best_ecc = 0, None
-    for v in range(graph.n):
-        ecc = eccentricity(graph, v)
-        if best_ecc is None or ecc < best_ecc:
-            best, best_ecc = v, ecc
-    return best
+    return min(range(graph.n), key=lambda v: eccentricity(graph, v))
 
 
 def is_connected(graph: Graph) -> bool:

@@ -50,7 +50,7 @@ def contains_induced(host: Graph, pattern: Graph) -> Optional[Embedding]:
     step_of, need, links, below = _plan(pattern)
     # Degree filter: per step, the host vertices of at least its pattern degree.
     at_least = {
-        d: sum(1 << v for v, nbrs in enumerate(host.adj) if len(nbrs) >= d)
+        d: sum(1 << v for v, mask in enumerate(host.masks) if mask.bit_count() >= d)
         for d in set(need)
     }
     found = _first_assignment(host.masks, [at_least[d] for d in need], links, below)
@@ -67,10 +67,10 @@ def _plan(pattern: Graph):
     i's vertex to step j's: it maps an embedding with image(j) < image(i) to a
     lexicographically smaller one, so the bounds never change the result.
     """
-    order = sorted(range(pattern.n), key=lambda p: (-pattern.degree(p), p))
-    need = [pattern.degree(p) for p in order]
+    order = sorted(range(pattern.n), key=lambda p: (-pattern.masks[p].bit_count(), p))
+    need = [pattern.masks[p].bit_count() for p in order]
     links = tuple(
-        tuple((q, 0 if pattern.has_edge(p, order[q]) else -1) for q in range(step))
+        tuple((q, 0 if pattern.masks[p] >> order[q] & 1 else -1) for q in range(step))
         for step, p in enumerate(order)
     )
     full = (1 << pattern.n) - 1
@@ -166,10 +166,7 @@ def leq_relation(first: Sequence[Graph], second: Sequence[Graph]) -> bool:
 
     When it holds, every graph free of the first set is free of the second.
     """
-    for h2 in second:
-        if not any(contains_induced(h2, h1) is not None for h1 in first):
-            return False
-    return True
+    return all(any(contains_induced(h2, h1) is not None for h1 in first) for h2 in second)
 
 
 def bfs_depth_consistent_with_path_free(graph: Graph, m: int) -> bool:
@@ -183,7 +180,4 @@ def bfs_depth_consistent_with_path_free(graph: Graph, m: int) -> bool:
         raise PreconditionError(f"path order m must be >= 2, got {m}")
     if not is_connected(graph):
         raise DisconnectedGraphError("depth filter requires a connected graph")
-    for v in range(graph.n):
-        if bfs_layers(graph, v).depth >= m - 1:
-            return False
-    return True
+    return all(bfs_layers(graph, v).depth < m - 1 for v in range(graph.n))

@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import math
-from itertools import product
+from itertools import combinations, product
 
 import pytest
 from hypothesis import example, given, strategies as st
@@ -166,6 +166,29 @@ class TestRamseyWitness:
     def test_subset_outside_graph(self):
         with pytest.raises(PreconditionError):
             ramsey_witness(gen_path(3), {5}, 1, 1)
+
+    def test_no_depth_limit(self):
+        found = ramsey_witness(gen_empty(1100), range(1100), 2, 1100)
+        assert found.kind == "independent"
+        assert found.vertices == frozenset(range(1100))
+
+    def test_set_larger_than_pool(self):
+        assert ramsey_witness(gen_empty(3), range(3), 4, 4) is None
+
+    @given(graphs(min_n=1, max_n=8), st.data())
+    def test_first_combination_in_lexicographic_order(self, g, data):
+        pool = data.draw(st.sets(st.integers(0, g.n - 1)))
+        s, t = data.draw(st.integers(1, 4)), data.draw(st.integers(1, 4))
+        expected = None
+        for kind, size, edge in (("clique", s, True), ("independent", t, False)):
+            for members in combinations(sorted(pool), size):
+                if all(g.has_edge(u, v) == edge for u, v in combinations(members, 2)):
+                    expected = (kind, frozenset(members))
+                    break
+            if expected is not None:
+                break
+        found = ramsey_witness(g, pool, s, t)
+        assert (None if found is None else (found.kind, found.vertices)) == expected
 
     @given(graphs(min_n=6, max_n=8), st.integers(0, 7))
     def test_guaranteed_above_threshold(self, g, shift):

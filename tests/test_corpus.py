@@ -109,6 +109,14 @@ class TestFixtureCorpus:
         for n in range(1, 6):
             assert [to_graph6(g) for g in stored[n]] == [to_graph6(g) for g in fresh[n]]
 
+    def test_relabelled_lines_are_fixed_points(self):
+        # Covers n = 6 and 7, which the fresh enumeration above leaves out.
+        rng = random.Random(6)
+        for g in corpus_graphs(7):
+            perm = list(range(g.n))
+            rng.shuffle(perm)
+            assert canonical_graph6(relabel(g, perm)) == to_graph6(g)
+
     def test_corpus_graphs_honours_cutoff(self):
         sizes = {g.n for g in corpus_graphs(4)}
         assert sizes == {1, 2, 3, 4}

@@ -2,10 +2,11 @@
 
 from __future__ import annotations
 
+import hashlib
 from itertools import combinations
 
 import pytest
-from hypothesis import given
+from hypothesis import given, strategies as st
 
 from conftest import connected_graphs, graphs
 from domcert.corpus import corpus_graphs
@@ -19,8 +20,9 @@ from domcert.domination import (
     minimal_dominating_subset,
     private_neighbors,
 )
-from domcert.errors import PreconditionError
+from domcert.errors import GraphConstructionError, PreconditionError
 from domcert.graph_core import (
+    closed_neighborhood,
     from_edge_list,
     gen_complete,
     gen_empty,
@@ -37,6 +39,54 @@ def reference_alpha(graph):
             if is_independent(graph, subset):
                 return size
     return 0
+
+
+def reference_minimal_dominating_subset(graph, candidates, targets):
+    """The quadratic descending-id pass that the mask version replaced."""
+    target_set = set(targets)
+    current = set(candidates)
+    if not target_set <= closed_neighborhood(graph, current):
+        raise PreconditionError("candidate set does not dominate the target set")
+    for v in sorted(current, reverse=True):
+        trial = current - {v}
+        if target_set <= closed_neighborhood(graph, trial):
+            current = trial
+    return frozenset(current)
+
+
+def reference_private_neighbors(graph, dominators, targets):
+    """The per-dominator frozenset scan that the mask version replaced."""
+    target_set = set(targets)
+    private = {}
+    for u in sorted(dominators):
+        others = dominators - {u}
+        covered_by_others = closed_neighborhood(graph, others) if others else set()
+        own = closed_neighborhood(graph, [u]) & target_set
+        mine = sorted(own - covered_by_others)
+        if not mine:
+            raise PreconditionError(
+                f"dominator {u} has no private target; the set is not minimal"
+            )
+        private[u] = mine[0]
+    return private
+
+
+def outcome(func, *args):
+    """The result of the call, or the type and message of what it raised."""
+    try:
+        return func(*args)
+    except PreconditionError as exc:
+        return type(exc), str(exc)
+
+
+@st.composite
+def dominated_pairs(draw):
+    """A graph, a candidate set and a subset of the targets it dominates."""
+    g = draw(graphs(min_n=1, max_n=9))
+    candidates = draw(st.sets(st.integers(0, g.n - 1)))
+    reach = sorted(closed_neighborhood(g, candidates))
+    targets = draw(st.sets(st.sampled_from(reach))) if reach else set()
+    return g, candidates, targets
 
 
 class TestGammaExact:
@@ -78,6 +128,16 @@ class TestGammaExact:
         for n in range(1, 9):
             assert gamma_exact(gen_k_star(n)).witness == set(range(n))
             assert gamma_exact(gen_s_star(n)).witness == set(range(1, n + 1))
+
+    def test_long_path_needs_no_recursion(self):
+        # The former recursive search hit Python's recursion limit here; with
+        # the limit raised, it gave gamma 1034 and the witness digest below.
+        result = gamma_exact(gen_path(3100))
+        digest = hashlib.sha256(",".join(map(str, sorted(result.witness))).encode())
+        assert result.gamma == 1034
+        assert digest.hexdigest() == (
+            "e3ba980a86779293e4b71a04927fb87197d4e9f8408a2efbb38c2b620c02d80b"
+        )
 
     @given(graphs(min_n=1, max_n=7))
     def test_witness_is_minimum(self, g):
@@ -137,6 +197,12 @@ class TestMinimalDominatingSubset:
                 covered |= g.adj[u]
             assert not targets <= covered
 
+    @given(dominated_pairs())
+    def test_matches_reference_pass(self, case):
+        g, candidates, targets = case
+        got = minimal_dominating_subset(g, candidates, targets)
+        assert got == reference_minimal_dominating_subset(g, candidates, targets)
+
 
 class TestMaximalIndependentSubset:
     def test_complete_singleton(self):
@@ -184,6 +250,46 @@ class TestPrivateNeighbors:
         for u, x in mapping.items():
             closed = set(g.adj[x]) | {x}
             assert closed & reduced == {u}
+
+    def test_stray_target_never_private(self):
+        assert private_neighbors(gen_path(3), frozenset({1}), {0, -1}) == {1: 0}
+
+    @given(dominated_pairs())
+    def test_matches_reference_scan(self, case):
+        # Minimal dominators, and the raw candidates, which often lack a
+        # private target: both routes must give the same map or error.
+        g, candidates, targets = case
+        minimal = minimal_dominating_subset(g, candidates, targets)
+        for dominators in (minimal, frozenset(candidates)):
+            assert outcome(private_neighbors, g, dominators, targets) == outcome(
+                reference_private_neighbors, g, dominators, targets
+            )
+
+
+P3 = gen_path(3)
+
+
+@pytest.mark.parametrize(
+    "call, error",
+    [
+        (lambda: maximal_independent_subset(P3, {-1, 0}), GraphConstructionError),
+        (lambda: maximal_independent_subset(P3, {0, 5}), GraphConstructionError),
+        (lambda: is_independent(P3, {-1, 1}), GraphConstructionError),
+        (lambda: is_independent(P3, {1, 5}), GraphConstructionError),
+        (lambda: minimal_dominating_subset(P3, {-1, 1}, {0}), GraphConstructionError),
+        (lambda: minimal_dominating_subset(P3, {1, 5}, {0}), GraphConstructionError),
+        (lambda: minimal_dominating_subset(P3, {1}, {-1}), PreconditionError),
+        (lambda: minimal_dominating_subset(P3, {1}, {0, 5}), PreconditionError),
+        (lambda: private_neighbors(P3, frozenset({-1}), {0}), GraphConstructionError),
+        (lambda: private_neighbors(P3, frozenset({1, 5}), {0}), GraphConstructionError),
+        (lambda: private_neighbors(P3, frozenset({1}), {5}), PreconditionError),
+    ],
+)
+def test_vertex_ids_outside_graph(call, error):
+    # Ids are never read modulo n: -1 is not vertex 2, and 5 is no IndexError.
+    match = r"vertex id -?\d+ outside \[0,3\)" if error is GraphConstructionError else None
+    with pytest.raises(error, match=match):
+        call()
 
 
 class TestIndependenceNumber:
