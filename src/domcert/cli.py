@@ -44,6 +44,19 @@ class UsageError(DomcertError):
     """Invalid flag combination or malformed command input."""
 
 
+# Largest input graph: canonical labelling of K_50, the slowest input found,
+# takes about 0.5 s, and of K_60 about 1 s (E_n takes half as long).
+MAX_VERTICES = 50
+# Largest --k, --l, --i and --m of `bounds`. One layer multiplies the bit length
+# of g by at most about k, so the first f past MAX_BOUND_BITS, the only one
+# computed, has at most about 10^6 bits.
+MAX_BOUND_PARAM = 128
+# Largest bit length of an f value in a `bounds` report (2467 decimal digits).
+# The other values stay within a few bits of it, far below Python's limit of
+# 4300 digits on converting an int to a string.
+MAX_BOUND_BITS = 8192
+
+
 # ---------------------------------------------------------------------------
 # Input handling
 # ---------------------------------------------------------------------------
@@ -78,6 +91,8 @@ def _load_graph(args: argparse.Namespace) -> tuple[Graph, dict]:
         graph = parse_graph6(lines[0])
     else:
         graph = parse_edge_list(text)
+    if graph.n > MAX_VERTICES:
+        raise UsageError(f"graph has {graph.n} vertices, above the limit of {MAX_VERTICES}")
     descriptor = {
         "source": source,
         "format": args.format,
@@ -267,7 +282,15 @@ def _cmd_bounds(args) -> tuple[dict, int]:
         raise UsageError("bounds needs --k and --l")
     if (args.i is None) == (args.m is None):
         raise UsageError("bounds needs exactly one of --i or --m")
+    for flag in ("k", "l", "i", "m"):
+        value = getattr(args, flag)
+        if value is not None and value > MAX_BOUND_PARAM:
+            raise UsageError(f"--{flag} {value} is above the limit of {MAX_BOUND_PARAM}")
     ramsey = ramsey_upper(args.k, args.l)
+    # Ascending: g(i) is computed from g(i - 1), which has already passed.
+    for i in range(2, (args.i if args.i is not None else args.m - 2) + 1):
+        if f_value(args.k, args.l, i).bit_length() > MAX_BOUND_BITS:
+            raise UsageError(f"f({args.k},{args.l},{i}) has more than {MAX_BOUND_BITS} bits")
     ramsey_obj = {
         "s": ramsey.s,
         "t": ramsey.t,
@@ -422,6 +445,9 @@ def main(argv: Optional[list[str]] = None) -> int:
         _emit(report, args.output)
     except (DomcertError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except (RecursionError, MemoryError) as exc:
+        print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 2
     return status
 

@@ -6,8 +6,8 @@ regenerates the fixture from scratch; the enumeration is independent of the
 shipped file, so the test suite can cross-check counts.
 
 Isomorph rejection uses a canonical labeling: equitable refinement on the
-popcounts of neighbourhood masks ANDed with cell masks, then individualization.
-No automorphism pruning, so very symmetric graphs cost more (fine at this scale).
+popcounts of neighbourhood masks ANDed with cell masks, then individualization,
+skipping the children that an automorphism maps onto an explored sibling.
 """
 
 from __future__ import annotations
@@ -17,7 +17,7 @@ from importlib import resources
 from typing import Iterable, Iterator, Optional, Sequence
 
 from .graph_core import Graph, from_edge_list, is_connected, parse_graph6, to_graph6
-from .subgraph import is_free
+from .subgraph import _first_assignment, is_free
 
 CORPUS_FILE = "connected_n_le_8.g6"
 CORPUS_MAX_N = 8
@@ -59,7 +59,12 @@ def canonical_graph6(graph: Graph) -> str:
     """Label-independent graph6 string: equal iff the graphs are isomorphic.
 
     Minimum graph6 encoding over the leaves of the refinement plus
-    individualization search tree.
+    individualization search tree. A child is skipped when an automorphism
+    maps the refined cells of an explored sibling, in order, onto the child's
+    own. Refinement commutes with automorphisms, so that automorphism maps the
+    sibling's subtree onto the child's, leaf by leaf, and corresponding leaves
+    relabel the graph to the same encoding: the minimum leaf, which is the
+    result, is among those explored.
     """
     if graph.n == 0:
         return to_graph6(graph)
@@ -67,7 +72,6 @@ def canonical_graph6(graph: Graph) -> str:
 
     def search(cells: list[tuple[int, ...]]) -> None:
         nonlocal best
-        cells = _refine(graph, cells)
         target = next((idx for idx, c in enumerate(cells) if len(c) > 1), None)
         if target is None:
             order = [v for (v,) in cells]
@@ -76,13 +80,49 @@ def canonical_graph6(graph: Graph) -> str:
                 best = encoded
             return
         cell = cells[target]
+        explored: list = []
         for v in cell:
             rest = tuple(u for u in cell if u != v)
-            search(cells[:target] + [(v,), rest] + cells[target + 1:])
+            child = _refine(graph, cells[:target] + [(v,), rest] + cells[target + 1:])
+            if any(maps_onto(child) for maps_onto in explored):
+                continue
+            search(child)
+            explored.append(_automorphism_test(graph.masks, child))
 
-    search([tuple(range(graph.n))])
+    search(_refine(graph, [tuple(range(graph.n))]))
     assert best is not None
     return best
+
+
+def _automorphism_test(masks, cells: list[tuple[int, ...]]):
+    """A test of whether an automorphism maps each of cells onto the cell at
+    the same position of another partition.
+
+    Each test is one exact search on the graph itself: the vertices of the
+    singleton cells are the first steps, then those of the other cells, and
+    each step is allowed the other partition's cell at its own cell's position.
+    Steps link only to the earlier steps adjacent to them: every vertex is a
+    step and the steps take distinct vertices, so an accepted assignment is a
+    permutation that maps edges to edges, and therefore non-edges to non-edges.
+    """
+    sizes = [len(cell) for cell in cells]
+    cell_order = sorted(range(len(cells)), key=lambda idx: sizes[idx] > 1)
+    order = [v for idx in cell_order for v in cells[idx]]
+    step_cell = [idx for idx in cell_order for _ in cells[idx]]
+    links = [
+        tuple((q, 0) for q in range(step) if masks[p] >> order[q] & 1)
+        for step, p in enumerate(order)
+    ]
+    below = [()] * len(order)
+
+    def maps_onto(other: list[tuple[int, ...]]) -> bool:
+        if [len(cell) for cell in other] != sizes:
+            return False
+        cell_masks = [sum(1 << v for v in cell) for cell in other]
+        allowed = [cell_masks[idx] for idx in step_cell]
+        return _first_assignment(masks, allowed, links, below) is not None
+
+    return maps_onto
 
 
 def canonical_form(graph: Graph) -> Graph:

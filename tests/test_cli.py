@@ -5,11 +5,14 @@ from __future__ import annotations
 import json
 
 import pytest
+from hypothesis import given, strategies as st
 
-from domcert.cli import main
+from domcert import cli
+from domcert.cli import MAX_BOUND_BITS, MAX_BOUND_PARAM, MAX_VERTICES, main
 from domcert.graph_core import (
     from_edge_list,
     gen_complete,
+    gen_empty,
     gen_k_star,
     gen_path,
     gen_s_star,
@@ -29,6 +32,7 @@ def run_error(argv, capsys):
     captured = capsys.readouterr()
     assert status == 2
     assert captured.err.startswith("error:")
+    assert "Traceback" not in captured.err
     return captured.err
 
 
@@ -221,6 +225,28 @@ class TestBounds:
         assert "exactly one" in err
         run_error(["bounds", "--k", "2", "--l", "2"], capsys)
 
+    def test_value_past_bit_limit(self, capsys):
+        # theorem_bound(10, 10, 8) has more than 4300 decimal digits.
+        err = run_error(["bounds", "--k", "10", "--l", "10", "--m", "8"], capsys)
+        assert f"more than {MAX_BOUND_BITS} bits" in err
+
+    def test_layer_past_limit(self, capsys):
+        # g(3, 3, i) is recursive in i and doubles its bit length per layer.
+        err = run_error(["bounds", "--k", "3", "--l", "3", "--i", "100000"], capsys)
+        assert "--i 100000" in err
+
+    @pytest.mark.parametrize("flag", ["--k", "--l", "--m"])
+    def test_parameter_limit(self, flag, capsys):
+        argv = {"--k": "2", "--l": "2", "--m": "5"}
+        argv[flag] = str(MAX_BOUND_PARAM + 1)
+        run_error(["bounds"] + [t for pair in argv.items() for t in pair], capsys)
+
+    def test_constant_layers_up_to_limit(self, capsys):
+        # R(2, 2) = 2 and g(2, 2, i) = 1, so every row is small.
+        argv = ["bounds", "--k", "2", "--l", "2", "--m", str(MAX_BOUND_PARAM)]
+        report = run_json(argv, capsys)
+        assert report["result"]["theorem_bound"] == 1 + 2 * (MAX_BOUND_PARAM - 3)
+
 
 class TestGen:
     def test_kstar(self, capsys):
@@ -277,3 +303,38 @@ class TestOutputAndVerify:
     def test_verify_unknown_suite(self, capsys):
         with pytest.raises(SystemExit):
             main(["verify", "--suite", "nonsense"])
+
+
+class TestInputBudgets:
+    def test_largest_graph6_order_refused(self, capsys):
+        # The size header alone declares 258047 vertices.
+        err = run_error(["gamma", "--graph6", "~}~~"], capsys)
+        assert f"258047 vertices, above the limit of {MAX_VERTICES}" in err
+
+    def test_vertex_limit(self, tmp_path, capsys):
+        report = run_json(["gamma", "--graph6", to_graph6(gen_empty(MAX_VERTICES))], capsys)
+        assert report["result"]["gamma"] == MAX_VERTICES
+        path = tmp_path / "big.txt"
+        path.write_text(f"{MAX_VERTICES + 1} 1\n0 1\n")
+        run_error(["gamma", "--input", str(path), "--format", "edgelist"], capsys)
+
+    @pytest.mark.parametrize("error", [RecursionError, MemoryError])
+    def test_resource_errors_exit_two(self, error, monkeypatch, capsys):
+        def exhausted(args):
+            raise error("exhausted")
+
+        monkeypatch.setattr(cli, "_cmd_gamma", exhausted)
+        err = run_error(["gamma", "--graph6", "A_"], capsys)
+        assert error.__name__ in err
+
+    @given(
+        st.text(
+            st.characters(min_codepoint=32, max_codepoint=126)
+            | st.characters(min_codepoint=128),
+            max_size=12,
+        ),
+        st.sampled_from([["gamma"], ["free", "--m", "4"]]),
+    )
+    def test_short_graph6_strings(self, text, command):
+        # The --graph6=... form passes strings that start with '-' to the parser as values.
+        assert main(command + [f"--graph6={text}"]) in (0, 2)

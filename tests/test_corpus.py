@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import random
+from typing import Optional
 
 import pytest
 from hypothesis import given, strategies as st
@@ -11,6 +12,7 @@ from conftest import graphs
 from domcert.corpus import (
     CORPUS_MAX_N,
     EXPECTED_CONNECTED_COUNTS,
+    _refine,
     all_labeled_graphs,
     are_isomorphic,
     canonical_form,
@@ -39,6 +41,64 @@ from domcert.subgraph import is_free
 def relabel(graph: Graph, perm: list[int]) -> Graph:
     edges = [(perm[u], perm[v]) for u, v in graph.edges()]
     return from_edge_list(graph.n, edges)
+
+
+def unpruned_canonical_graph6(graph: Graph) -> str:
+    """Reference: the minimum leaf over the whole individualization tree."""
+    if graph.n == 0:
+        return to_graph6(graph)
+    best: Optional[str] = None
+
+    def search(cells: list[tuple[int, ...]]) -> None:
+        nonlocal best
+        cells = _refine(graph, cells)
+        target = next((idx for idx, c in enumerate(cells) if len(c) > 1), None)
+        if target is None:
+            order = [v for (v,) in cells]
+            encoded = to_graph6(graph.relabel(order))
+            if best is None or encoded < best:
+                best = encoded
+            return
+        cell = cells[target]
+        for v in cell:
+            rest = tuple(u for u in cell if u != v)
+            search(cells[:target] + [(v,), rest] + cells[target + 1:])
+
+    search([tuple(range(graph.n))])
+    assert best is not None
+    return best
+
+
+@st.composite
+def clique_unions(draw, max_n: int = 7) -> Graph:
+    """Disjoint union of cliques, or its complement, under a random labelling."""
+    n = draw(st.integers(1, max_n))
+    cuts = draw(st.lists(st.booleans(), min_size=n - 1, max_size=n - 1))
+    complement = draw(st.booleans())
+    perm = draw(st.permutations(range(n)))
+    # u < v lie in one clique when no cut separates them.
+    return from_edge_list(n, [
+        (perm[u], perm[v]) for u in range(n) for v in range(u + 1, n)
+        if any(cuts[u:v]) == complement
+    ])
+
+
+def petersen_graph() -> Graph:
+    outer = [(i, (i + 1) % 5) for i in range(5)]
+    spokes = [(i, i + 5) for i in range(5)]
+    inner = [(5 + i, 5 + (i + 2) % 5) for i in range(5)]
+    return from_edge_list(10, outer + spokes + inner)
+
+
+# Canonical strings computed with the unpruned search; index k is K*_k or S*_k.
+KSTAR_CANONICAL = [
+    None, "A_", "CL", "E@UW", "G?Ci[[", "I??GhLF`w", "K???GSRGyFo^",
+    "M????CDAWbcNO^_^_", "O?????@?gH`FCNGNgF{@~",
+]
+SSTAR_CANONICAL = [
+    None, "BW", "DBg", "F@Q?w", "H?CaC?N", "J??G`@?_?N_", "L???GOOGA?O??~",
+    "N????CCA?_C?O?_??Nw", "P?????@?_G@?C?G?G?C???N{",
+]
 
 
 class TestCanonicalForm:
@@ -70,6 +130,25 @@ class TestCanonicalForm:
         perm = list(range(g.n))
         rng.shuffle(perm)
         assert canonical_graph6(relabel(g, perm)) == canonical_graph6(g)
+
+    @given(graphs(max_n=8))
+    def test_matches_unpruned_search(self, g):
+        assert canonical_graph6(g) == unpruned_canonical_graph6(g)
+
+    @given(clique_unions())
+    def test_matches_unpruned_search_on_symmetric_graphs(self, g):
+        assert canonical_graph6(g) == unpruned_canonical_graph6(g)
+
+    def test_complete_and_empty_up_to_thirty(self):
+        for n in range(1, 31):
+            assert canonical_graph6(gen_complete(n)) == to_graph6(gen_complete(n))
+            assert canonical_graph6(gen_empty(n)) == to_graph6(gen_empty(n))
+
+    def test_golden_symmetric_families(self):
+        assert canonical_graph6(petersen_graph()) == "I?LRCecq?"
+        for k in range(1, 9):
+            assert canonical_graph6(gen_k_star(k)) == KSTAR_CANONICAL[k]
+            assert canonical_graph6(gen_s_star(k)) == SSTAR_CANONICAL[k]
 
 
 class TestEnumeration:
@@ -110,9 +189,9 @@ class TestFixtureCorpus:
             assert [to_graph6(g) for g in stored[n]] == [to_graph6(g) for g in fresh[n]]
 
     def test_relabelled_lines_are_fixed_points(self):
-        # Covers n = 6 and 7, which the fresh enumeration above leaves out.
+        # Covers n = 6 to 8, which the fresh enumeration above leaves out.
         rng = random.Random(6)
-        for g in corpus_graphs(7):
+        for g in corpus_graphs():
             perm = list(range(g.n))
             rng.shuffle(perm)
             assert canonical_graph6(relabel(g, perm)) == to_graph6(g)

@@ -15,7 +15,7 @@ from domcert.bound_engine import (
     extract_forbidden_witness,
     ramsey_witness,
 )
-from domcert.corpus import _refine
+from domcert.corpus import _automorphism_test, _refine
 from domcert.domination import (
     gamma_brute_force,
     gamma_exact,
@@ -53,6 +53,7 @@ KERNELS = [
     _stage_x0,
     _u_overflow_witness,
     extract_forbidden_witness,
+    _automorphism_test,
 ]
 
 
