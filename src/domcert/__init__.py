@@ -50,6 +50,7 @@ from .errors import (
     Graph6FormatError,
     GraphConstructionError,
     PreconditionError,
+    SearchBudgetError,
     WitnessContradictionError,
 )
 from .graph_core import (
@@ -100,6 +101,7 @@ __all__ = [
     "PreconditionError",
     "RamseyValue",
     "RamseyWitness",
+    "SearchBudgetError",
     "WitnessContradictionError",
     "bfs_depth_consistent_with_path_free",
     "bfs_layers",

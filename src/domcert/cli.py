@@ -47,6 +47,10 @@ class UsageError(DomcertError):
 # Largest input graph: canonical labelling of K_50, the slowest input found,
 # takes about 0.5 s, and of K_60 about 1 s (E_n takes half as long).
 MAX_VERTICES = 50
+# Largest number of search nodes of `gamma`, about a second of search. Inputs
+# with n <= 10 need at most a few hundred; erdos_renyi(50, 0.08, Random(0))
+# needs about 3.2 million.
+GAMMA_NODE_BUDGET = 1_000_000
 # Largest --k, --l, --i and --m of `bounds`. One layer multiplies the bit length
 # of g by at most about k, so the first f past MAX_BOUND_BITS, the only one
 # computed, has at most about 10^6 bits.
@@ -102,23 +106,32 @@ def _load_graph(args: argparse.Namespace) -> tuple[Graph, dict]:
     return graph, descriptor
 
 
+# Each family's generator and its vertex count at a given size.
 _FAMILIES = {
-    "path": gen_path,
-    "complete": gen_complete,
-    "empty": gen_empty,
-    "kstar": gen_k_star,
-    "sstar": gen_s_star,
+    "path": (gen_path, lambda size: size),
+    "complete": (gen_complete, lambda size: size),
+    "empty": (gen_empty, lambda size: size),
+    "kstar": (gen_k_star, lambda size: 2 * size),
+    "sstar": (gen_s_star, lambda size: 2 * size + 1),
 }
 
 
 def _make_family(family: str, size: Optional[int]) -> Graph:
+    """The family's graph of the given size, refused above MAX_VERTICES vertices
+    before it is built."""
     if family == "claw":
         if size not in (None, 3):
             raise UsageError("claw has no size parameter")
         return claw_graph()
     if size is None:
         raise UsageError(f"family {family!r} needs --size")
-    return _FAMILIES[family](size)
+    generate, order = _FAMILIES[family]
+    if order(size) > MAX_VERTICES:
+        raise UsageError(
+            f"{family} of size {size} has {order(size)} vertices, "
+            f"above the limit of {MAX_VERTICES}"
+        )
+    return generate(size)
 
 
 def _parse_family_list(text: str) -> list[Graph]:
@@ -149,7 +162,7 @@ def _parse_family_list(text: str) -> list[Graph]:
 
 def _cmd_gamma(args) -> tuple[dict, int]:
     graph, descriptor = _load_graph(args)
-    result = gamma_exact(graph)
+    result = gamma_exact(graph, node_budget=GAMMA_NODE_BUDGET)
     report = {
         "command": "gamma",
         "input": descriptor,
@@ -165,12 +178,9 @@ def _cmd_free(args) -> tuple[dict, int]:
     if k is None and ell is None and m is None:
         raise UsageError("free needs at least one of --k, --l, --m")
     patterns: list[tuple[str, int, Graph]] = []
-    if k is not None:
-        patterns.append(("kstar", k, gen_k_star(k)))
-    if ell is not None:
-        patterns.append(("sstar", ell, gen_s_star(ell)))
-    if m is not None:
-        patterns.append(("path", m, gen_path(m)))
+    for name, size in (("kstar", k), ("sstar", ell), ("path", m)):
+        if size is not None:
+            patterns.append((name, size, _make_family(name, size)))
     outcome = is_free(graph, [g for _, _, g in patterns])
     result = {
         "free": outcome.free,

@@ -16,7 +16,15 @@ import random
 from importlib import resources
 from typing import Iterable, Iterator, Optional, Sequence
 
-from .graph_core import Graph, from_edge_list, is_connected, parse_graph6, to_graph6
+from .graph_core import (
+    Graph,
+    _members,
+    _parse_graph6,
+    from_edge_list,
+    is_connected,
+    parse_graph6,
+    to_graph6,
+)
 from .subgraph import _first_assignment, is_free
 
 CORPUS_FILE = "connected_n_le_8.g6"
@@ -167,11 +175,25 @@ def enumerate_connected_graphs(max_n: int) -> dict[int, list[Graph]]:
 
 
 def all_labeled_graphs(n: int) -> Iterator[Graph]:
-    """Every labeled graph on n vertices, one per edge-subset, 2^(n(n-1)/2) total."""
+    """Every labeled graph on n vertices, one per edge-subset, 2^(n(n-1)/2) total.
+
+    Edge subset i is bit i of the counter, over the pairs u < v in
+    lexicographic order. Equal neighbourhoods are one shared frozenset.
+    """
     pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+    shared: dict[int, frozenset[int]] = {}
     for mask in range(1 << len(pairs)):
-        edges = [pairs[i] for i in range(len(pairs)) if mask >> i & 1]
-        yield from_edge_list(n, edges)
+        nbrs = [0] * n
+        for i in _members(mask):
+            u, v = pairs[i]
+            nbrs[u] |= 1 << v
+            nbrs[v] |= 1 << u
+        adj = []
+        for nbr in nbrs:
+            if nbr not in shared:
+                shared[nbr] = frozenset(_members(nbr))
+            adj.append(shared[nbr])
+        yield Graph(n, tuple(adj))
 
 
 # ---------------------------------------------------------------------------
@@ -183,12 +205,18 @@ def fixture_path():
 
 
 def load_fixture_corpus() -> dict[int, list[Graph]]:
-    """Parse the packaged corpus, grouped by vertex count."""
+    """Parse the packaged corpus, grouped by vertex count.
+
+    Equal neighbourhoods are one shared frozenset, through a table local to
+    this call: with n <= 8 there are at most 256 of them, so the parsed corpus
+    holds a few hundred sets instead of one per vertex.
+    """
     grouped: dict[int, list[Graph]] = {}
+    shared: dict[frozenset[int], frozenset[int]] = {}
     for line in fixture_path().read_text().splitlines():
         line = line.strip()
         if line:
-            graph = parse_graph6(line)
+            graph = _parse_graph6(line, shared)
             grouped.setdefault(graph.n, []).append(graph)
     return grouped
 

@@ -4,9 +4,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import combinations
-from typing import Iterable
+from typing import Iterable, Optional
 
-from .errors import PreconditionError
+from .errors import PreconditionError, SearchBudgetError
 from .graph_core import Graph, _check_ids, _members, closed_neighborhood
 
 
@@ -23,24 +23,35 @@ def is_dominating(graph: Graph, subset: Iterable[int]) -> bool:
     return len(closed_neighborhood(graph, subset)) == graph.n
 
 
-def gamma_exact(graph: Graph) -> GammaResult:
+def gamma_exact(graph: Graph, *, node_budget: Optional[int] = None) -> GammaResult:
     """Exact domination number by iterative-deepening branch and bound.
 
     Branches on the lowest-id undominated vertex; one of its closed neighbors
     must be in any dominating set, so the branching factor is its closed
     degree. Bitmasks keep the cover bookkeeping cheap, and an explicit stack
     replaces recursion, so the depth is not limited.
+
+    With a node_budget, SearchBudgetError is raised once the search has
+    visited more than that many nodes, summed over all deepening rounds.
     """
     n = graph.n
     if n == 0:
         raise PreconditionError("domination number of the empty graph is undefined")
+    if node_budget is not None and node_budget < 0:
+        raise PreconditionError(f"negative node budget {node_budget}")
 
     full = (1 << n) - 1
     closed_masks = [mask | 1 << v for v, mask in enumerate(graph.masks)]
     max_cover = max(mask.bit_count() for mask in closed_masks)
+    nodes_left = -1 if node_budget is None else node_budget  # never 0 when negative
     for target in range(1, n + 1):
         stack = [(0, 0)]  # (covered, chosen), both as vertex masks
         while stack:
+            if nodes_left == 0:
+                raise SearchBudgetError(
+                    f"domination search exceeded its budget of {node_budget} nodes"
+                )
+            nodes_left -= 1
             covered, chosen = stack.pop()
             if covered == full:
                 return GammaResult(target, frozenset(_members(chosen)))

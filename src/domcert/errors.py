@@ -25,6 +25,10 @@ class PreconditionError(DomcertError):
     """A documented operation precondition was violated by the caller."""
 
 
+class SearchBudgetError(DomcertError):
+    """An exact search visited more nodes than its caller allowed."""
+
+
 class WitnessContradictionError(DomcertError):
     """A certified bound was violated yet no forbidden witness could be assembled.
 

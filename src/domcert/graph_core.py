@@ -151,6 +151,14 @@ def parse_graph6(text: str) -> Graph:
     Missing trailing body bytes are read as all-zero bits; extra bytes and
     nonzero padding bits are rejected.
     """
+    return _parse_graph6(text, {})
+
+
+def _parse_graph6(text: str, shared: dict[frozenset[int], frozenset[int]]) -> Graph:
+    """parse_graph6 that takes each neighbourhood from shared, adding the new ones.
+
+    A table kept across many calls makes equal neighbourhoods one object.
+    """
     s = text.strip()
     if s.startswith(GRAPH6_HEADER):
         s = s[len(GRAPH6_HEADER):]
@@ -181,7 +189,8 @@ def parse_graph6(text: str) -> Graph:
             u = k - v * (v - 1) // 2
             adj.setdefault(u, set()).add(v)
             adj.setdefault(v, set()).add(u)
-    return Graph(n, tuple(frozenset(adj.get(v, ())) for v in range(n)))
+    nbrs = (frozenset(adj.get(v, ())) for v in range(n))
+    return Graph(n, tuple(shared.setdefault(nbr, nbr) for nbr in nbrs))
 
 
 def to_graph6(graph: Graph) -> str:

@@ -8,6 +8,10 @@ violations, and oracle equivalence of the two independent solver routes.
 
 Suites are deterministic for a fixed seed; sampled corpora derive their seeds
 from the top-level one so reports are replayable byte for byte.
+
+A battery (one ``run_suites`` call) parses the packaged corpus at most once,
+on the first suite that reads it, and shares it among its suites; it is
+released when the battery returns.
 """
 
 from __future__ import annotations
@@ -25,7 +29,13 @@ from .bound_engine import (
     ramsey_witness,
     theorem_bound,
 )
-from .corpus import corpus_graphs, all_labeled_graphs, erdos_renyi, sample_free_connected
+from .corpus import (
+    CORPUS_MAX_N,
+    all_labeled_graphs,
+    erdos_renyi,
+    load_fixture_corpus,
+    sample_free_connected,
+)
 from .domination import (
     gamma_brute_force,
     gamma_exact,
@@ -66,6 +76,22 @@ class CriterionResult:
     detail: str
 
 
+class _BatteryCorpus:
+    """The packaged corpus for one battery: parsed on the first read, then kept.
+
+    Calling it returns the graphs with at most max_n vertices, in fixture
+    order, as a fresh list that the caller may extend.
+    """
+
+    def __init__(self) -> None:
+        self._grouped: Optional[dict[int, list[Graph]]] = None
+
+    def __call__(self, max_n: int = CORPUS_MAX_N) -> list[Graph]:
+        if self._grouped is None:
+            self._grouped = load_fixture_corpus()
+        return [g for n in sorted(self._grouped) if n <= max_n for g in self._grouped[n]]
+
+
 def claw_graph() -> Graph:
     """K_{1,3}: one center joined to three leaves."""
     return from_edge_list(4, [(0, 1), (0, 2), (0, 3)])
@@ -79,7 +105,7 @@ def ceil_div(a: int, b: int) -> int:
     return -(-a // b)
 
 
-def _suite_paths(seed: int) -> CriterionResult:
+def _suite_paths(seed: int, corpus: _BatteryCorpus) -> CriterionResult:
     slow = 0
     for n in range(1, 31):
         start = time.monotonic()
@@ -96,7 +122,7 @@ def _suite_paths(seed: int) -> CriterionResult:
     return CriterionResult("paths", True, "gamma(P_n) = ceil(n/3) for n = 1..30, each under 1s")
 
 
-def _suite_families(seed: int) -> CriterionResult:
+def _suite_families(seed: int, corpus: _BatteryCorpus) -> CriterionResult:
     for n in range(1, 9):
         for gen, label in ((gen_k_star, "K*"), (gen_s_star, "S*")):
             got = gamma_exact(gen(n)).gamma
@@ -109,9 +135,9 @@ def _suite_families(seed: int) -> CriterionResult:
     )
 
 
-def _suite_ore(seed: int) -> CriterionResult:
+def _suite_ore(seed: int, corpus: _BatteryCorpus) -> CriterionResult:
     checked = 0
-    for graph in corpus_graphs():
+    for graph in corpus():
         if graph.n < 2:
             continue
         checked += 1
@@ -124,9 +150,9 @@ def _suite_ore(seed: int) -> CriterionResult:
     )
 
 
-def _suite_ckshep(seed: int) -> CriterionResult:
+def _suite_ckshep(seed: int, corpus: _BatteryCorpus) -> CriterionResult:
     patterns = [claw_graph(), gen_k_star(3)]
-    exhaustive = [g for g in corpus_graphs() if is_free(g, patterns)]
+    exhaustive = [g for g in corpus() if is_free(g, patterns)]
     sampled = sample_free_connected(
         SAMPLE_COUNT, CLAW_CONFIGS_9, patterns, _salt(seed, 9)
     )
@@ -161,7 +187,7 @@ def _check_soundness(
     return None
 
 
-def _suite_soundness(seed: int) -> CriterionResult:
+def _suite_soundness(seed: int, corpus: _BatteryCorpus) -> CriterionResult:
     corpus_a = sample_free_connected(
         SAMPLE_COUNT,
         THEOREM_A_CONFIGS,
@@ -187,8 +213,8 @@ def _suite_soundness(seed: int) -> CriterionResult:
     )
 
 
-def _suite_independence(seed: int) -> CriterionResult:
-    graphs = corpus_graphs()
+def _suite_independence(seed: int, corpus: _BatteryCorpus) -> CriterionResult:
+    graphs = corpus()
     for graph in graphs:
         independent = maximal_independent_subset(graph, range(graph.n))
         if not is_dominating(graph, independent):
@@ -213,7 +239,7 @@ def _suite_independence(seed: int) -> CriterionResult:
     )
 
 
-def _suite_ramsey(seed: int) -> CriterionResult:
+def _suite_ramsey(seed: int, corpus: _BatteryCorpus) -> CriterionResult:
     count = 0
     for graph in all_labeled_graphs(6):
         count += 1
@@ -258,7 +284,7 @@ def violation_suite() -> list[tuple[Graph, int, int, int, int, str, int]]:
     return cases
 
 
-def _suite_witness(seed: int) -> CriterionResult:
+def _suite_witness(seed: int, corpus: _BatteryCorpus) -> CriterionResult:
     for host, root, layer, k, ell, shape, size in violation_suite():
         witness = extract_forbidden_witness(host, bfs_layers(host, root), layer, k, ell)
         if witness is None or witness.shape != shape or witness.size != size:
@@ -295,7 +321,7 @@ def _suite_witness(seed: int) -> CriterionResult:
     )
 
 
-def _suite_bound_table(seed: int) -> CriterionResult:
+def _suite_bound_table(seed: int, corpus: _BatteryCorpus) -> CriterionResult:
     checks = []
     for i in range(1, 7):
         checks.append((g_value(2, 2, i), 1, f"g(2,2,{i})"))
@@ -316,10 +342,10 @@ def _suite_bound_table(seed: int) -> CriterionResult:
     )
 
 
-def _oracle_hosts(seed: int) -> list[Graph]:
-    hosts = corpus_graphs(6)
+def _oracle_hosts(seed: int, corpus: _BatteryCorpus) -> list[Graph]:
+    hosts = corpus(6)
     by_n: dict[int, list[Graph]] = {}
-    for g in corpus_graphs():
+    for g in corpus():
         by_n.setdefault(g.n, []).append(g)
     hosts += by_n.get(7, [])[:20] + by_n.get(8, [])[:10]
     rng = random.Random(_salt(seed, 99))
@@ -332,16 +358,16 @@ def _oracle_hosts(seed: int) -> list[Graph]:
     return hosts
 
 
-def _suite_oracles(seed: int) -> CriterionResult:
+def _suite_oracles(seed: int, corpus: _BatteryCorpus) -> CriterionResult:
     gamma_checked = 0
-    for graph in corpus_graphs(7):
+    for graph in corpus(7):
         gamma_checked += 1
         if gamma_exact(graph).gamma != gamma_brute_force(graph).gamma:
             return CriterionResult(
                 "oracles", False, f"gamma mismatch on {to_graph6(graph)}"
             )
-    hosts = _oracle_hosts(seed)
-    patterns = corpus_graphs(5)
+    hosts = _oracle_hosts(seed, corpus)
+    patterns = corpus(5)
     pair_count = 0
     for host in hosts:
         for pattern in patterns:
@@ -367,9 +393,9 @@ def _suite_oracles(seed: int) -> CriterionResult:
     )
 
 
-def _suite_roundtrip(seed: int) -> CriterionResult:
+def _suite_roundtrip(seed: int, corpus: _BatteryCorpus) -> CriterionResult:
     count = 0
-    for graph in corpus_graphs():
+    for graph in corpus():
         count += 1
         encoded = to_graph6(graph)
         back = parse_graph6(encoded)
@@ -388,7 +414,7 @@ def _suite_roundtrip(seed: int) -> CriterionResult:
     )
 
 
-_SUITES: dict[str, Callable[[int], CriterionResult]] = {
+_SUITES: dict[str, Callable[[int, _BatteryCorpus], CriterionResult]] = {
     "paths": _suite_paths,
     "families": _suite_families,
     "ore": _suite_ore,
@@ -405,18 +431,26 @@ _SUITES: dict[str, Callable[[int], CriterionResult]] = {
 SUITE_NAMES = tuple(_SUITES)
 
 
-def run_suite(name: str, seed: int = DEFAULT_SEED) -> CriterionResult:
-    """Run one named suite; unknown names raise DomcertError."""
+def run_suite(
+    name: str, seed: int = DEFAULT_SEED, corpus: Optional[_BatteryCorpus] = None
+) -> CriterionResult:
+    """Run one named suite; unknown names raise DomcertError.
+
+    Without a corpus from its battery, the suite parses the packaged corpus
+    itself if it reads it.
+    """
     if name not in _SUITES:
         raise DomcertError(
             f"unknown suite {name!r}; choose from {', '.join(SUITE_NAMES)}"
         )
-    return _SUITES[name](seed)
+    return _SUITES[name](seed, corpus if corpus is not None else _BatteryCorpus())
 
 
 def run_suites(
     names: Optional[Sequence[str]] = None, seed: int = DEFAULT_SEED
 ) -> list[CriterionResult]:
-    """Run the named suites (default: all) in declaration order."""
+    """Run the named suites (default: all) in declaration order, parsing the
+    packaged corpus at most once for all of them."""
     selected = SUITE_NAMES if names is None else tuple(names)
-    return [run_suite(name, seed) for name in selected]
+    corpus = _BatteryCorpus()
+    return [run_suite(name, seed, corpus) for name in selected]

@@ -3,12 +3,14 @@
 from __future__ import annotations
 
 import json
+import random
 
 import pytest
 from hypothesis import given, strategies as st
 
 from domcert import cli
-from domcert.cli import MAX_BOUND_BITS, MAX_BOUND_PARAM, MAX_VERTICES, main
+from domcert.cli import GAMMA_NODE_BUDGET, MAX_BOUND_BITS, MAX_BOUND_PARAM, MAX_VERTICES, main
+from domcert.corpus import erdos_renyi
 from domcert.graph_core import (
     from_edge_list,
     gen_complete,
@@ -317,6 +319,36 @@ class TestInputBudgets:
         path = tmp_path / "big.txt"
         path.write_text(f"{MAX_VERTICES + 1} 1\n0 1\n")
         run_error(["gamma", "--input", str(path), "--format", "edgelist"], capsys)
+
+    def test_gamma_node_budget(self, capsys):
+        # About a minute of search without the budget.
+        graph = erdos_renyi(50, 0.05, random.Random(3))
+        err = run_error(["gamma", "--graph6", to_graph6(graph)], capsys)
+        assert f"budget of {GAMMA_NODE_BUDGET} nodes" in err
+
+    def test_gamma_node_budget_is_the_cli_constant(self, monkeypatch, capsys):
+        monkeypatch.setattr(cli, "GAMMA_NODE_BUDGET", 5)
+        err = run_error(["gamma", "--graph6", to_graph6(gen_path(7))], capsys)
+        assert "budget of 5 nodes" in err
+
+    @pytest.mark.parametrize(
+        "argv, vertices",
+        [
+            (["gen", "--family", "complete", "--size", "5000"], 5000),
+            (["gen", "--family", "sstar", "--size", str(MAX_VERTICES // 2)], MAX_VERTICES + 1),
+            (["free", "--graph6", "A_", "--k", str(MAX_VERTICES // 2 + 1)], MAX_VERTICES + 2),
+            (["free", "--graph6", "A_", "--m", str(MAX_VERTICES + 1)], MAX_VERTICES + 1),
+            (["leq", "--first", "kstar:2", "--second", "path:1000000"], 1000000),
+        ],
+        ids=["gen-complete", "gen-sstar", "free-kstar", "free-path", "leq-path"],
+    )
+    def test_family_size_caps(self, argv, vertices, capsys):
+        err = run_error(argv, capsys)
+        assert f"has {vertices} vertices, above the limit of {MAX_VERTICES}" in err
+
+    def test_family_at_the_cap(self, capsys):
+        argv = ["gen", "--family", "kstar", "--size", str(MAX_VERTICES // 2)]
+        assert run_json(argv, capsys)["result"]["n"] == MAX_VERTICES
 
     @pytest.mark.parametrize("error", [RecursionError, MemoryError])
     def test_resource_errors_exit_two(self, error, monkeypatch, capsys):

@@ -20,6 +20,7 @@ from domcert.corpus import (
     corpus_graphs,
     enumerate_connected_graphs,
     erdos_renyi,
+    fixture_path,
     load_fixture_corpus,
     sample_free_connected,
 )
@@ -168,6 +169,15 @@ class TestEnumeration:
         assert len(list(all_labeled_graphs(3))) == 8
         assert len(list(all_labeled_graphs(4))) == 64
 
+    @pytest.mark.parametrize("n", range(6))
+    def test_all_labeled_matches_edge_list_construction(self, n):
+        pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+        expected = [
+            from_edge_list(n, [pairs[i] for i in range(len(pairs)) if mask >> i & 1])
+            for mask in range(1 << len(pairs))
+        ]
+        assert list(all_labeled_graphs(n)) == expected
+
 
 class TestFixtureCorpus:
     def test_counts_match_expected(self):
@@ -177,6 +187,13 @@ class TestFixtureCorpus:
 
     def test_all_connected(self):
         assert all(is_connected(g) for g in corpus_graphs(CORPUS_MAX_N))
+
+    def test_shared_neighbourhoods_parse_like_parse_graph6(self):
+        lines = [line for line in fixture_path().read_text().splitlines() if line.strip()]
+        grouped = load_fixture_corpus()
+        loaded = [g for n in sorted(grouped) for g in grouped[n]]
+        assert loaded == [parse_graph6(line) for line in lines]
+        assert len({id(nbrs) for g in loaded for nbrs in g.adj}) <= 1 << CORPUS_MAX_N
 
     def test_roundtrip_identity(self):
         for g in corpus_graphs(CORPUS_MAX_N):

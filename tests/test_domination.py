@@ -20,7 +20,7 @@ from domcert.domination import (
     minimal_dominating_subset,
     private_neighbors,
 )
-from domcert.errors import GraphConstructionError, PreconditionError
+from domcert.errors import GraphConstructionError, PreconditionError, SearchBudgetError
 from domcert.graph_core import (
     closed_neighborhood,
     from_edge_list,
@@ -138,6 +138,24 @@ class TestGammaExact:
         assert digest.hexdigest() == (
             "e3ba980a86779293e4b71a04927fb87197d4e9f8408a2efbb38c2b620c02d80b"
         )
+
+    def test_node_budget_counts_every_visited_node(self):
+        # The root, then the one child that dominates the single vertex.
+        assert gamma_exact(gen_path(1), node_budget=2).gamma == 1
+        with pytest.raises(SearchBudgetError, match="budget of 1 nodes"):
+            gamma_exact(gen_path(1), node_budget=1)
+        with pytest.raises(PreconditionError):
+            gamma_exact(gen_path(1), node_budget=-1)
+
+    def test_node_budget_spans_deepening_rounds(self):
+        # Rounds 1 to 3 cut their root; round 4 visits the root and 4 choices.
+        assert gamma_exact(gen_empty(4), node_budget=8).gamma == 4
+        with pytest.raises(SearchBudgetError):
+            gamma_exact(gen_empty(4), node_budget=7)
+
+    @given(graphs(min_n=1, max_n=7))
+    def test_ample_budget_changes_nothing(self, g):
+        assert gamma_exact(g, node_budget=10_000) == gamma_exact(g)
 
     @given(graphs(min_n=1, max_n=7))
     def test_witness_is_minimum(self, g):

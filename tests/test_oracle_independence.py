@@ -15,7 +15,7 @@ from domcert.bound_engine import (
     extract_forbidden_witness,
     ramsey_witness,
 )
-from domcert.corpus import _automorphism_test, _refine
+from domcert.corpus import _automorphism_test, _refine, all_labeled_graphs
 from domcert.domination import (
     gamma_brute_force,
     gamma_exact,
@@ -54,6 +54,7 @@ KERNELS = [
     _u_overflow_witness,
     extract_forbidden_witness,
     _automorphism_test,
+    all_labeled_graphs,
 ]
 
 
