@@ -3,11 +3,15 @@
 Exit status is 0 on success, 1 when `verify` finds a failing criterion, and 2
 on any input, usage or output error. Reports echo the input graph's canonical
 graph6 string so a report alone identifies the instance up to isomorphism.
+
+`main` may be called many times in one process: it builds one parser per
+process, on the first call, and looks each handler up by command name.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from typing import Optional
@@ -383,14 +387,12 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("gamma", help="exact domination number")
     _add_graph_options(p)
-    p.set_defaults(handler=_cmd_gamma)
 
     p = sub.add_parser("free", help="induced-freeness of K*_k, S*_l, P_m")
     _add_graph_options(p)
     p.add_argument("--k", type=int)
     p.add_argument("--l", type=int)
     p.add_argument("--m", type=int)
-    p.set_defaults(handler=_cmd_free)
 
     p = sub.add_parser("dominate", help="layered dominating-set construction")
     _add_graph_options(p)
@@ -399,7 +401,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--l", type=int)
     p.add_argument("--m", type=int)
     p.add_argument("--verify-freeness", action="store_true")
-    p.set_defaults(handler=_cmd_dominate)
 
     p = sub.add_parser("witness", help="extract a forbidden-subgraph witness")
     _add_graph_options(p)
@@ -407,19 +408,16 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--layer", type=int, required=True)
     p.add_argument("--k", type=int, required=True)
     p.add_argument("--l", type=int, required=True)
-    p.set_defaults(handler=_cmd_witness)
 
     p = sub.add_parser("leq", help="order between forbidden families")
     p.add_argument("--first", required=True, help="e.g. 'kstar:2,sstar:2,path:5'")
     p.add_argument("--second", required=True)
-    p.set_defaults(handler=_cmd_leq)
 
     p = sub.add_parser("bounds", help="bound-function table")
     p.add_argument("--k", type=int, required=True)
     p.add_argument("--l", type=int, required=True)
     p.add_argument("--i", type=int)
     p.add_argument("--m", type=int)
-    p.set_defaults(handler=_cmd_bounds)
 
     p = sub.add_parser("gen", help="emit a named family graph")
     p.add_argument(
@@ -428,12 +426,10 @@ def build_parser() -> argparse.ArgumentParser:
         choices=("path", "complete", "empty", "kstar", "sstar", "claw"),
     )
     p.add_argument("--size", type=int)
-    p.set_defaults(handler=_cmd_gen)
 
     p = sub.add_parser("verify", help="run acceptance suites")
     p.add_argument("--suite", action="append", choices=SUITE_NAMES)
     p.add_argument("--seed", type=int, default=DEFAULT_SEED)
-    p.set_defaults(handler=_cmd_verify)
 
     return parser
 
@@ -447,11 +443,16 @@ def _emit(report: dict, output: Optional[str]) -> None:
             handle.write(text)
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The parser of this process, built by the first `main` call."""
+    return build_parser()
+
+
 def main(argv: Optional[list[str]] = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
-        report, status = args.handler(args)
+        report, status = globals()[f"_cmd_{args.command}"](args)
         _emit(report, args.output)
     except (DomcertError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

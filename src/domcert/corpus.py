@@ -39,10 +39,16 @@ EXPECTED_CONNECTED_COUNTS = {1: 1, 2: 1, 3: 2, 4: 6, 5: 21, 6: 112, 7: 853, 8: 1
 # ---------------------------------------------------------------------------
 
 def _refine(graph: Graph, cells: list[tuple[int, ...]]) -> list[tuple[int, ...]]:
-    """Equitable refinement: split cells by neighbor count into every cell."""
+    """Equitable refinement: split cells by neighbor count into every cell,
+    always by the first splitter that splits any. A splitter that splits no cell
+    splits none of a finer partition either, so it is skipped while it is a cell.
+    """
     masks = graph.masks
+    stable: set[tuple[int, ...]] = set()
     while True:
         for splitter in cells:
+            if splitter in stable:
+                continue
             splitter_mask = 0
             for v in splitter:
                 splitter_mask |= 1 << v
@@ -59,6 +65,7 @@ def _refine(graph: Graph, cells: list[tuple[int, ...]]) -> list[tuple[int, ...]]
             if len(new_cells) > len(cells):
                 cells = new_cells
                 break
+            stable.add(splitter)
         else:
             return cells
 

@@ -3,11 +3,15 @@
 from __future__ import annotations
 
 import json
+import os
 import random
+import subprocess
+import sys
 
 import pytest
 from hypothesis import given, strategies as st
 
+import domcert
 from domcert import cli
 from domcert.cli import GAMMA_NODE_BUDGET, MAX_BOUND_BITS, MAX_BOUND_PARAM, MAX_VERTICES, main
 from domcert.corpus import erdos_renyi
@@ -370,3 +374,61 @@ class TestInputBudgets:
     def test_short_graph6_strings(self, text, command):
         # The --graph6=... form passes strings that start with '-' to the parser as values.
         assert main(command + [f"--graph6={text}"]) in (0, 2)
+
+
+def run_python(args):
+    """Run a new interpreter with args, importing this package."""
+    src = os.path.dirname(os.path.dirname(domcert.__file__))
+    return subprocess.run(
+        [sys.executable, *args],
+        env={**os.environ, "PYTHONPATH": src},
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+
+
+class TestParserReuse:
+    def test_root_does_not_carry_over(self, capsys):
+        argv = ["dominate", "--graph6", to_graph6(gen_path(6))]
+        cli._parser.cache_clear()
+        fresh = run_json(argv, capsys)
+        assert run_json(argv + ["--root", "3"], capsys)["bound_report"]["root"] == 3
+        assert run_json(argv, capsys) == fresh
+        assert fresh["parameters"]["root"] is None
+        assert fresh["bound_report"]["root"] == 2
+
+    def test_output_does_not_carry_over(self, tmp_path, capsys):
+        target = tmp_path / "report.json"
+        argv = ["gen", "--family", "path", "--size", "3"]
+        assert main(["--output", str(target)] + argv) == 0
+        assert capsys.readouterr().out == ""
+        assert run_json(argv, capsys) == json.loads(target.read_text())
+
+    def test_one_build_per_process(self, monkeypatch, capsys):
+        builds = []
+        real = cli.build_parser
+
+        def counted():
+            builds.append(1)
+            return real()
+
+        cli._parser.cache_clear()
+        monkeypatch.setattr(cli, "build_parser", counted)
+        for size in range(1, 21):
+            assert main(["gen", "--family", "path", "--size", str(size)]) == 0
+        capsys.readouterr()
+        assert len(builds) == 1
+
+    def test_import_builds_no_parser(self):
+        code = "import domcert.cli as cli; print(cli._parser.cache_info().currsize)"
+        proc = run_python(["-c", code])
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout == "0\n"
+
+    def test_module_entry_point(self, capsys):
+        argv = ["gamma", "--graph6", "D~{"]
+        proc = run_python(["-m", "domcert.cli", *argv])
+        assert proc.returncode == 0, proc.stderr
+        assert main(argv) == 0
+        assert proc.stdout == capsys.readouterr().out

@@ -6,7 +6,7 @@ import random
 from typing import Optional
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from conftest import graphs
 from domcert.corpus import (
@@ -68,6 +68,41 @@ def unpruned_canonical_graph6(graph: Graph) -> str:
     search([tuple(range(graph.n))])
     assert best is not None
     return best
+
+
+def restart_refine(graph: Graph, cells: list[tuple[int, ...]]) -> list[tuple[int, ...]]:
+    """Reference: `_refine` as it was before it skipped stable splitters, which
+    rescans every splitter from the first cell after each split."""
+    masks = graph.masks
+    while True:
+        for splitter in cells:
+            splitter_mask = 0
+            for v in splitter:
+                splitter_mask |= 1 << v
+            new_cells: list[tuple[int, ...]] = []
+            for cell in cells:
+                if len(cell) > 1:
+                    groups: dict[int, list[int]] = {}
+                    for v in cell:
+                        groups.setdefault((masks[v] & splitter_mask).bit_count(), []).append(v)
+                    if len(groups) > 1:
+                        new_cells.extend(tuple(groups[count]) for count in sorted(groups))
+                        continue
+                new_cells.append(cell)
+            if len(new_cells) > len(cells):
+                cells = new_cells
+                break
+        else:
+            return cells
+
+
+@st.composite
+def ordered_partitions(draw, graph: Graph) -> list[tuple[int, ...]]:
+    """The graph's vertices in a random order, cut into consecutive cells."""
+    order = draw(st.permutations(range(graph.n)))
+    cuts = draw(st.lists(st.booleans(), min_size=graph.n - 1, max_size=graph.n - 1))
+    bounds = [0] + [i for i, cut in enumerate(cuts, 1) if cut] + [graph.n]
+    return [tuple(order[a:b]) for a, b in zip(bounds, bounds[1:])]
 
 
 @st.composite
@@ -144,6 +179,13 @@ class TestCanonicalForm:
         for n in range(1, 31):
             assert canonical_graph6(gen_complete(n)) == to_graph6(gen_complete(n))
             assert canonical_graph6(gen_empty(n)) == to_graph6(gen_empty(n))
+
+    @settings(max_examples=300)
+    @given(st.data())
+    def test_refine_matches_restart_reference(self, data):
+        g = data.draw(graphs(min_n=1, max_n=12))
+        cells = data.draw(ordered_partitions(g))
+        assert _refine(g, list(cells)) == restart_refine(g, cells)
 
     def test_golden_symmetric_families(self):
         assert canonical_graph6(petersen_graph()) == "I?LRCecq?"

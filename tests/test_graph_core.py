@@ -2,10 +2,13 @@
 
 from __future__ import annotations
 
+import random
+from collections import deque
+
 import pytest
 from hypothesis import given
 
-from conftest import graphs
+from conftest import connected_graphs, graphs
 from domcert.domination import is_dominating
 from domcert.errors import (
     DisconnectedGraphError,
@@ -32,6 +35,33 @@ from domcert.graph_core import (
     to_graph6,
 )
 from domcert.subgraph import contains_induced
+
+
+def literal_center(graph: Graph) -> int:
+    """Reference root: minimum eccentricity within the vertex's component, lowest
+    id on ties, from one deque BFS over `adj` per vertex."""
+    best = None
+    for root in range(graph.n):
+        dist = {root: 0}
+        queue = deque([root])
+        while queue:
+            u = queue.popleft()
+            for w in graph.adj[u]:
+                if w not in dist:
+                    dist[w] = dist[u] + 1
+                    queue.append(w)
+        if best is None or max(dist.values()) < best[0]:
+            best = (max(dist.values()), root)
+    return best[1]
+
+
+def sparse_connected(n: int, rng: random.Random) -> Graph:
+    """A random spanning tree plus n // 2 random extra edges."""
+    edges = {(rng.randrange(v), v) for v in range(1, n)}
+    while len(edges) < n - 1 + n // 2:
+        u, v = sorted(rng.sample(range(n), 2))
+        edges.add((u, v))
+    return from_edge_list(n, sorted(edges))
 
 
 class TestGraphType:
@@ -244,6 +274,15 @@ class TestBfsLayers:
 
     def test_min_eccentricity_tie_breaks_low(self):
         assert min_eccentricity_vertex(gen_complete(4)) == 0
+
+    @given(graphs(min_n=1, max_n=12) | connected_graphs(max_n=12))
+    def test_min_eccentricity_matches_literal_bfs(self, g):
+        assert min_eccentricity_vertex(g) == literal_center(g)
+
+    def test_min_eccentricity_matches_literal_bfs_on_sparse_graph(self):
+        g = sparse_connected(300, random.Random(3))
+        assert is_connected(g)
+        assert min_eccentricity_vertex(g) == literal_center(g)
 
 
 class TestConnectivity:
