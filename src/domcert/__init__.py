@@ -25,7 +25,6 @@ from .bound_engine import (
     theorem_bound,
 )
 from .corpus import (
-    canonical_form,
     canonical_graph6,
     corpus_graphs,
     enumerate_connected_graphs,
@@ -75,7 +74,6 @@ from .graph_core import (
 from .subgraph import (
     Embedding,
     FreenessResult,
-    bfs_depth_consistent_with_path_free,
     contains_induced,
     induced_subgraph_brute,
     is_free,
@@ -103,9 +101,7 @@ __all__ = [
     "RamseyWitness",
     "SearchBudgetError",
     "WitnessContradictionError",
-    "bfs_depth_consistent_with_path_free",
     "bfs_layers",
-    "canonical_form",
     "canonical_graph6",
     "closed_neighborhood",
     "construct_dominating_set",

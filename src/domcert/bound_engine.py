@@ -299,7 +299,9 @@ class ForbiddenWitness:
     embedding: Embedding
 
 
-def _checked_witness(graph: Graph, shape: str, size: int, mapping: tuple[int, ...]) -> ForbiddenWitness:
+def _checked_witness(
+    graph: Graph, shape: str, size: int, mapping: tuple[int, ...]
+) -> ForbiddenWitness:
     witness = ForbiddenWitness(shape, size, Embedding(mapping))
     pattern = gen_k_star(size) if shape == "kstar" else gen_s_star(size)
     if not verify_embedding(graph, pattern, witness.embedding):
@@ -310,7 +312,9 @@ def _checked_witness(graph: Graph, shape: str, size: int, mapping: tuple[int, ..
     return witness
 
 
-def _kstar_witness(graph: Graph, clique: frozenset[int], pendant_of: dict[int, int]) -> ForbiddenWitness:
+def _kstar_witness(
+    graph: Graph, clique: frozenset[int], pendant_of: dict[int, int]
+) -> ForbiddenWitness:
     """K*_k embedding from a clique whose members have pairwise-private pendants."""
     members = sorted(clique)
     mapping = tuple(members) + tuple(pendant_of[u] for u in members)

@@ -5,7 +5,9 @@ on any input, usage or output error. Reports echo the input graph's canonical
 graph6 string so a report alone identifies the instance up to isomorphism.
 
 `main` may be called many times in one process: it builds one parser per
-process, on the first call, and looks each handler up by command name.
+process, on the first call, and looks each handler up by command name. A
+handler returns the report body and exit status; `main` alone puts the
+"command" key first and writes the report.
 """
 
 from __future__ import annotations
@@ -17,6 +19,7 @@ import sys
 from typing import Optional
 
 from .bound_engine import (
+    BoundReport,
     construct_dominating_set,
     extract_forbidden_witness,
     f_value,
@@ -35,6 +38,7 @@ from .graph_core import (
     gen_k_star,
     gen_path,
     gen_s_star,
+    is_connected,
     min_eccentricity_vertex,
     parse_edge_list,
     parse_graph6,
@@ -55,11 +59,11 @@ MAX_VERTICES = 50
 # with n <= 10 need at most a few hundred; erdos_renyi(50, 0.08, Random(0))
 # needs about 3.2 million.
 GAMMA_NODE_BUDGET = 1_000_000
-# Largest --k, --l, --i and --m of `bounds`. One layer multiplies the bit length
-# of g by at most about k, so the first f past MAX_BOUND_BITS, the only one
-# computed, has at most about 10^6 bits.
+# Largest --k, --l, --i, --m and --layer of `bounds`, `dominate` and `witness`.
+# One layer multiplies the bit length of g by at most about k, so the first f
+# past MAX_BOUND_BITS, the only one computed, has at most about 10^6 bits.
 MAX_BOUND_PARAM = 128
-# Largest bit length of an f value in a `bounds` report (2467 decimal digits).
+# Largest bit length of an f value in a report (2467 decimal digits).
 # The other values stay within a few bits of it, far below Python's limit of
 # 4300 digits on converting an int to a string.
 MAX_BOUND_BITS = 8192
@@ -161,19 +165,33 @@ def _parse_family_list(text: str) -> list[Graph]:
 
 
 # ---------------------------------------------------------------------------
-# Command handlers: each returns (report dict, exit status)
+# Command handlers: each returns (report body, exit status); main adds "command"
 # ---------------------------------------------------------------------------
+
+def _check_bound_budget(args, flags: tuple[str, ...], top: int) -> None:
+    """Refuse the given flags above MAX_BOUND_PARAM, then f(k, l, i) for 2 <= i <= top
+    above MAX_BOUND_BITS, before a handler computes any bound."""
+    for flag in flags:
+        value = getattr(args, flag)
+        if value is not None and value > MAX_BOUND_PARAM:
+            raise UsageError(f"--{flag} {value} is above the limit of {MAX_BOUND_PARAM}")
+    # Non-positive k or l: left to the handler's own check, which names them.
+    if min(args.k, args.l) < 1:
+        return
+    # Ascending: g(i) is computed from g(i - 1), which has already passed.
+    for i in range(2, top + 1):
+        if f_value(args.k, args.l, i).bit_length() > MAX_BOUND_BITS:
+            raise UsageError(f"f({args.k},{args.l},{i}) has more than {MAX_BOUND_BITS} bits")
+
 
 def _cmd_gamma(args) -> tuple[dict, int]:
     graph, descriptor = _load_graph(args)
     result = gamma_exact(graph, node_budget=GAMMA_NODE_BUDGET)
-    report = {
-        "command": "gamma",
+    return {
         "input": descriptor,
         "parameters": {},
         "result": {"gamma": result.gamma, "witness": sorted(result.witness)},
-    }
-    return report, 0
+    }, 0
 
 
 def _cmd_free(args) -> tuple[dict, int]:
@@ -197,45 +215,31 @@ def _cmd_free(args) -> tuple[dict, int]:
         result["violated_family"] = name
         result["violated_size"] = size
         result["embedding"] = list(outcome.embedding.mapping)
-    report = {
-        "command": "free",
-        "input": descriptor,
-        "parameters": {"k": k, "l": ell, "m": m},
-        "result": result,
-    }
-    return report, 0
+    return {"input": descriptor, "parameters": {"k": k, "l": ell, "m": m}, "result": result}, 0
 
 
-def _report_bound(report_obj) -> dict:
-    return {
-        "root": report_obj.root,
-        "layer_sizes": list(report_obj.layer_sizes),
-        "total_size": report_obj.total_size,
-        "k": report_obj.k,
-        "l": report_obj.ell,
-        "m": report_obj.m,
-        "layer_bounds": (
-            None if report_obj.layer_bounds is None else list(report_obj.layer_bounds)
-        ),
-        "total_bound": report_obj.total_bound,
-        "bound_held": report_obj.bound_held,
-        "freeness_checked": report_obj.freeness_checked,
-    }
+def _report_bound(bound: BoundReport) -> dict:
+    """BoundReport's fields in declaration order, with ell reported as l."""
+    return {("l" if name == "ell" else name): value for name, value in vars(bound).items()}
 
 
 def _cmd_dominate(args) -> tuple[dict, int]:
     graph, descriptor = _load_graph(args)
     k, ell, m = args.k, args.l, args.m
+    root = args.root
+    # An empty or disconnected graph, or a partial k/l/m, gets the construction's own error.
+    if None not in (k, ell, m) and is_connected(graph):
+        root = min_eccentricity_vertex(graph) if root is None else root
+        _check_bound_budget(args, ("k", "l", "m"), max(m - 2, bfs_layers(graph, root).depth))
     dominating, bound = construct_dominating_set(
         graph,
-        root=args.root,
+        root=root,
         k=k,
         ell=ell,
         m=m,
         verify_freeness=args.verify_freeness,
     )
-    report = {
-        "command": "dominate",
+    return {
         "input": descriptor,
         "parameters": {
             "root": args.root,
@@ -250,14 +254,14 @@ def _cmd_dominate(args) -> tuple[dict, int]:
             "is_dominating": is_dominating(graph, dominating),
         },
         "bound_report": _report_bound(bound),
-    }
-    return report, 0
+    }, 0
 
 
 def _cmd_witness(args) -> tuple[dict, int]:
     graph, descriptor = _load_graph(args)
     root = args.root if args.root is not None else min_eccentricity_vertex(graph)
     layers = bfs_layers(graph, root)
+    _check_bound_budget(args, ("k", "l", "layer"), args.layer)
     witness = extract_forbidden_witness(graph, layers, args.layer, args.k, args.l)
     witnesses = []
     if witness is not None:
@@ -268,27 +272,23 @@ def _cmd_witness(args) -> tuple[dict, int]:
                 "embedding": list(witness.embedding.mapping),
             }
         )
-    report = {
-        "command": "witness",
+    return {
         "input": descriptor,
         "parameters": {"root": root, "layer": args.layer, "k": args.k, "l": args.l},
         "result": {"found": witness is not None},
         "witnesses": witnesses,
-    }
-    return report, 0
+    }, 0
 
 
 def _cmd_leq(args) -> tuple[dict, int]:
     first = _parse_family_list(args.first)
     second = _parse_family_list(args.second)
     holds = leq_relation(first, second)
-    report = {
-        "command": "leq",
+    return {
         "input": None,
         "parameters": {"first": args.first, "second": args.second},
         "result": {"holds": holds},
-    }
-    return report, 0
+    }, 0
 
 
 def _cmd_bounds(args) -> tuple[dict, int]:
@@ -296,15 +296,8 @@ def _cmd_bounds(args) -> tuple[dict, int]:
         raise UsageError("bounds needs --k and --l")
     if (args.i is None) == (args.m is None):
         raise UsageError("bounds needs exactly one of --i or --m")
-    for flag in ("k", "l", "i", "m"):
-        value = getattr(args, flag)
-        if value is not None and value > MAX_BOUND_PARAM:
-            raise UsageError(f"--{flag} {value} is above the limit of {MAX_BOUND_PARAM}")
+    _check_bound_budget(args, ("k", "l", "i", "m"), args.i if args.i is not None else args.m - 2)
     ramsey = ramsey_upper(args.k, args.l)
-    # Ascending: g(i) is computed from g(i - 1), which has already passed.
-    for i in range(2, (args.i if args.i is not None else args.m - 2) + 1):
-        if f_value(args.k, args.l, i).bit_length() > MAX_BOUND_BITS:
-            raise UsageError(f"f({args.k},{args.l},{i}) has more than {MAX_BOUND_BITS} bits")
     ramsey_obj = {
         "s": ramsey.s,
         "t": ramsey.t,
@@ -330,24 +323,16 @@ def _cmd_bounds(args) -> tuple[dict, int]:
             "rows": rows,
         }
         parameters = {"k": args.k, "l": args.l, "i": None, "m": args.m}
-    report = {
-        "command": "bounds",
-        "input": None,
-        "parameters": parameters,
-        "result": result,
-    }
-    return report, 0
+    return {"input": None, "parameters": parameters, "result": result}, 0
 
 
 def _cmd_gen(args) -> tuple[dict, int]:
     graph = _make_family(args.family, args.size)
-    report = {
-        "command": "gen",
+    return {
         "input": None,
         "parameters": {"family": args.family, "size": args.size},
         "result": {"n": graph.n, "graph6": to_graph6(graph)},
-    }
-    return report, 0
+    }, 0
 
 
 def _cmd_verify(args) -> tuple[dict, int]:
@@ -357,8 +342,7 @@ def _cmd_verify(args) -> tuple[dict, int]:
     except FileNotFoundError as exc:
         raise UsageError(f"fixture corpus missing: {exc}") from exc
     failed = [r.name for r in results if not r.passed]
-    report = {
-        "command": "verify",
+    return {
         "input": None,
         "parameters": {
             "suites": list(names) if names else list(SUITE_NAMES),
@@ -368,8 +352,7 @@ def _cmd_verify(args) -> tuple[dict, int]:
         "criteria": [
             {"name": r.name, "passed": r.passed, "detail": r.detail} for r in results
         ],
-    }
-    return report, 1 if failed else 0
+    }, 1 if failed else 0
 
 
 # ---------------------------------------------------------------------------
@@ -452,8 +435,8 @@ def _parser() -> argparse.ArgumentParser:
 def main(argv: Optional[list[str]] = None) -> int:
     args = _parser().parse_args(argv)
     try:
-        report, status = globals()[f"_cmd_{args.command}"](args)
-        _emit(report, args.output)
+        body, status = globals()[f"_cmd_{args.command}"](args)
+        _emit({"command": args.command, **body}, args.output)
     except (DomcertError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

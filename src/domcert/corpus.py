@@ -140,18 +140,6 @@ def _automorphism_test(masks, cells: list[tuple[int, ...]]):
     return maps_onto
 
 
-def canonical_form(graph: Graph) -> Graph:
-    """Canonical representative of the graph's isomorphism class."""
-    return parse_graph6(canonical_graph6(graph))
-
-
-def are_isomorphic(first: Graph, second: Graph) -> bool:
-    """Isomorphism test via canonical labels."""
-    if first.n != second.n or first.edge_count() != second.edge_count():
-        return False
-    return canonical_graph6(first) == canonical_graph6(second)
-
-
 # ---------------------------------------------------------------------------
 # Exhaustive enumeration
 # ---------------------------------------------------------------------------
@@ -284,17 +272,3 @@ def sample_free_connected(
         if is_connected(graph) and is_free(graph, pattern_list):
             out.append(graph)
     return out
-
-
-def main() -> None:
-    import os
-
-    target = os.path.join(os.path.dirname(__file__), "data", CORPUS_FILE)
-    counts = write_fixture(target)
-    for n in sorted(counts):
-        print(f"n={n}: {counts[n]} connected graphs")
-    print(f"wrote {sum(counts.values())} graphs to {target}")
-
-
-if __name__ == "__main__":
-    main()

@@ -15,8 +15,7 @@ from functools import lru_cache
 from itertools import combinations, permutations
 from typing import Optional, Sequence
 
-from .errors import DisconnectedGraphError, PreconditionError
-from .graph_core import Graph, bfs_layers, is_connected
+from .graph_core import Graph
 
 
 @dataclass(frozen=True)
@@ -167,17 +166,3 @@ def leq_relation(first: Sequence[Graph], second: Sequence[Graph]) -> bool:
     When it holds, every graph free of the first set is free of the second.
     """
     return all(any(contains_induced(h2, h1) is not None for h1 in first) for h2 in second)
-
-
-def bfs_depth_consistent_with_path_free(graph: Graph, m: int) -> bool:
-    """Fast necessary condition for P_m-freeness: all eccentricities at most m-2.
-
-    A shortest path is induced, so a P_m-free graph cannot have a BFS layer at
-    index m-1 or beyond from any root. The converse fails (an induced path need
-    not be a shortest path), so this is a one-sided pre-filter only.
-    """
-    if m < 2:
-        raise PreconditionError(f"path order m must be >= 2, got {m}")
-    if not is_connected(graph):
-        raise DisconnectedGraphError("depth filter requires a connected graph")
-    return all(bfs_layers(graph, v).depth < m - 1 for v in range(graph.n))

@@ -9,6 +9,9 @@ violations, and oracle equivalence of the two independent solver routes.
 Suites are deterministic for a fixed seed; sampled corpora derive their seeds
 from the top-level one so reports are replayable byte for byte.
 
+A suite returns its pass detail, or raises _Failed at its first failing check;
+run_suite alone turns either into a CriterionResult named by the suite's key.
+
 A battery (one ``run_suites`` call) parses the packaged corpus at most once,
 on the first suite that reads it, and shares it among its suites; it is
 released when the battery returns.
@@ -76,6 +79,10 @@ class CriterionResult:
     detail: str
 
 
+class _Failed(Exception):
+    """A suite's first failing check, its message the detail; caught only by run_suite."""
+
+
 class _BatteryCorpus:
     """The packaged corpus for one battery: parsed on the first read, then kept.
 
@@ -105,52 +112,42 @@ def ceil_div(a: int, b: int) -> int:
     return -(-a // b)
 
 
-def _suite_paths(seed: int, corpus: _BatteryCorpus) -> CriterionResult:
+def _suite_paths(seed: int, corpus: _BatteryCorpus) -> str:
     slow = 0
     for n in range(1, 31):
         start = time.monotonic()
         got = gamma_exact(gen_path(n)).gamma
         elapsed = time.monotonic() - start
         if got != ceil_div(n, 3):
-            return CriterionResult(
-                "paths", False, f"path on {n} vertices gave {got}, expected {ceil_div(n, 3)}"
-            )
+            raise _Failed(f"path on {n} vertices gave {got}, expected {ceil_div(n, 3)}")
         if elapsed >= 1.0:
             slow += 1
     if slow:
-        return CriterionResult("paths", False, f"{slow} instances took 1s or longer")
-    return CriterionResult("paths", True, "gamma(P_n) = ceil(n/3) for n = 1..30, each under 1s")
+        raise _Failed(f"{slow} instances took 1s or longer")
+    return "gamma(P_n) = ceil(n/3) for n = 1..30, each under 1s"
 
 
-def _suite_families(seed: int, corpus: _BatteryCorpus) -> CriterionResult:
+def _suite_families(seed: int, corpus: _BatteryCorpus) -> str:
     for n in range(1, 9):
         for gen, label in ((gen_k_star, "K*"), (gen_s_star, "S*")):
             got = gamma_exact(gen(n)).gamma
             if got != n:
-                return CriterionResult(
-                    "families", False, f"gamma({label}_{n}) = {got}, expected {n}"
-                )
-    return CriterionResult(
-        "families", True, "gamma(K*_n) = gamma(S*_n) = n for n = 1..8"
-    )
+                raise _Failed(f"gamma({label}_{n}) = {got}, expected {n}")
+    return "gamma(K*_n) = gamma(S*_n) = n for n = 1..8"
 
 
-def _suite_ore(seed: int, corpus: _BatteryCorpus) -> CriterionResult:
+def _suite_ore(seed: int, corpus: _BatteryCorpus) -> str:
     checked = 0
     for graph in corpus():
         if graph.n < 2:
             continue
         checked += 1
         if gamma_exact(graph).gamma > graph.n // 2:
-            return CriterionResult(
-                "ore", False, f"gamma exceeds n/2 on {to_graph6(graph)}"
-            )
-    return CriterionResult(
-        "ore", True, f"gamma <= floor(n/2) on all {checked} connected graphs, 2 <= n <= 8"
-    )
+            raise _Failed(f"gamma exceeds n/2 on {to_graph6(graph)}")
+    return f"gamma <= floor(n/2) on all {checked} connected graphs, 2 <= n <= 8"
 
 
-def _suite_ckshep(seed: int, corpus: _BatteryCorpus) -> CriterionResult:
+def _suite_ckshep(seed: int, corpus: _BatteryCorpus) -> str:
     patterns = [claw_graph(), gen_k_star(3)]
     exhaustive = [g for g in corpus() if is_free(g, patterns)]
     sampled = sample_free_connected(
@@ -161,110 +158,82 @@ def _suite_ckshep(seed: int, corpus: _BatteryCorpus) -> CriterionResult:
     )
     for graph in exhaustive + sampled:
         if gamma_exact(graph).gamma > ceil_div(graph.n, 3):
-            return CriterionResult(
-                "ckshep", False, f"gamma exceeds ceil(n/3) on {to_graph6(graph)}"
-            )
-    return CriterionResult(
-        "ckshep",
-        True,
+            raise _Failed(f"gamma exceeds ceil(n/3) on {to_graph6(graph)}")
+    return (
         f"gamma <= ceil(n/3) on {len(exhaustive)} exhaustive plus "
-        f"{len(sampled)} sampled claw-and-pendant-triangle-free graphs",
+        f"{len(sampled)} sampled claw-and-pendant-triangle-free graphs"
     )
 
 
-def _check_soundness(
-    graphs: Sequence[Graph], k: int, ell: int, m: int
-) -> Optional[str]:
+def _check_soundness(graphs: Sequence[Graph], k: int, ell: int, m: int) -> None:
     cap = theorem_bound(k, ell, m)
     for graph in graphs:
         dominating, report = construct_dominating_set(graph, k=k, ell=ell, m=m)
         if not is_dominating(graph, dominating):
-            return f"output fails to dominate {to_graph6(graph)}"
+            raise _Failed(f"output fails to dominate {to_graph6(graph)}")
         if len(dominating) > cap or not report.bound_held:
-            return f"bound {cap} violated on {to_graph6(graph)}"
+            raise _Failed(f"bound {cap} violated on {to_graph6(graph)}")
         if gamma_exact(graph).gamma > len(dominating):
-            return f"gamma exceeds |D| on {to_graph6(graph)}"
-    return None
+            raise _Failed(f"gamma exceeds |D| on {to_graph6(graph)}")
 
 
-def _suite_soundness(seed: int, corpus: _BatteryCorpus) -> CriterionResult:
+def _suite_soundness(seed: int, corpus: _BatteryCorpus) -> str:
     corpus_a = sample_free_connected(
         SAMPLE_COUNT,
         THEOREM_A_CONFIGS,
         [gen_k_star(3), gen_s_star(2), gen_path(5)],
         _salt(seed, 5),
     )
-    failure = _check_soundness(corpus_a, 3, 2, 5)
-    if failure is None:
-        corpus_b = sample_free_connected(
-            SAMPLE_COUNT,
-            THEOREM_B_CONFIGS,
-            [gen_k_star(3), gen_s_star(3), gen_path(6)],
-            _salt(seed, 6),
-        )
-        failure = _check_soundness(corpus_b, 3, 3, 6)
-    if failure is not None:
-        return CriterionResult("soundness", False, failure)
-    return CriterionResult(
-        "soundness",
-        True,
+    _check_soundness(corpus_a, 3, 2, 5)
+    corpus_b = sample_free_connected(
+        SAMPLE_COUNT,
+        THEOREM_B_CONFIGS,
+        [gen_k_star(3), gen_s_star(3), gen_path(6)],
+        _salt(seed, 6),
+    )
+    _check_soundness(corpus_b, 3, 3, 6)
+    return (
         f"construction dominates within theorem_bound on {2 * SAMPLE_COUNT} "
-        "sampled free graphs (two parameter triples)",
+        "sampled free graphs (two parameter triples)"
     )
 
 
-def _suite_independence(seed: int, corpus: _BatteryCorpus) -> CriterionResult:
+def _suite_independence(seed: int, corpus: _BatteryCorpus) -> str:
     graphs = corpus()
     for graph in graphs:
         independent = maximal_independent_subset(graph, range(graph.n))
         if not is_dominating(graph, independent):
-            return CriterionResult(
-                "independence",
-                False,
-                f"maximal independent set fails to dominate {to_graph6(graph)}",
-            )
+            raise _Failed(f"maximal independent set fails to dominate {to_graph6(graph)}")
         alpha = independence_number(graph)
         for k in range(2, 5):
             if alpha < k and gamma_exact(graph).gamma > k - 1:
-                return CriterionResult(
-                    "independence",
-                    False,
-                    f"alpha < {k} but gamma > {k - 1} on {to_graph6(graph)}",
-                )
-    return CriterionResult(
-        "independence",
-        True,
+                raise _Failed(f"alpha < {k} but gamma > {k - 1} on {to_graph6(graph)}")
+    return (
         f"maximal independent sets dominate and alpha < k forces gamma <= k-1 "
-        f"on all {len(graphs)} corpus graphs",
+        f"on all {len(graphs)} corpus graphs"
     )
 
 
-def _suite_ramsey(seed: int, corpus: _BatteryCorpus) -> CriterionResult:
+def _suite_ramsey(seed: int, corpus: _BatteryCorpus) -> str:
     count = 0
     for graph in all_labeled_graphs(6):
         count += 1
         witness = ramsey_witness(graph, range(6), 3, 3)
         if witness is None:
-            return CriterionResult(
-                "ramsey", False, f"no dichotomy on {to_graph6(graph)}"
-            )
+            raise _Failed(f"no dichotomy on {to_graph6(graph)}")
         members = witness.vertices
         if len(members) != 3:
-            return CriterionResult("ramsey", False, "witness has wrong size")
+            raise _Failed("witness has wrong size")
         ms = sorted(members)
         if witness.kind == "clique":
             good = all(graph.has_edge(u, v) for u in ms for v in ms if u < v)
         else:
             good = is_independent(graph, ms)
         if not good:
-            return CriterionResult(
-                "ramsey", False, f"invalid witness on {to_graph6(graph)}"
-            )
-    return CriterionResult(
-        "ramsey",
-        True,
+            raise _Failed(f"invalid witness on {to_graph6(graph)}")
+    return (
         f"clique-or-independent triple found and verified on all {count} "
-        "labeled graphs with 6 vertices",
+        "labeled graphs with 6 vertices"
     )
 
 
@@ -284,20 +253,14 @@ def violation_suite() -> list[tuple[Graph, int, int, int, int, str, int]]:
     return cases
 
 
-def _suite_witness(seed: int, corpus: _BatteryCorpus) -> CriterionResult:
+def _suite_witness(seed: int, corpus: _BatteryCorpus) -> str:
     for host, root, layer, k, ell, shape, size in violation_suite():
         witness = extract_forbidden_witness(host, bfs_layers(host, root), layer, k, ell)
         if witness is None or witness.shape != shape or witness.size != size:
-            return CriterionResult(
-                "witness",
-                False,
-                f"expected {shape}_{size} from {to_graph6(host)} at layer {layer}",
-            )
+            raise _Failed(f"expected {shape}_{size} from {to_graph6(host)} at layer {layer}")
         pattern = gen_k_star(size) if shape == "kstar" else gen_s_star(size)
         if not verify_embedding(host, pattern, witness.embedding):
-            return CriterionResult(
-                "witness", False, f"embedding fails re-validation on {to_graph6(host)}"
-            )
+            raise _Failed(f"embedding fails re-validation on {to_graph6(host)}")
     sampled = sample_free_connected(
         SAMPLE_COUNT,
         THEOREM_A_CONFIGS,
@@ -308,20 +271,14 @@ def _suite_witness(seed: int, corpus: _BatteryCorpus) -> CriterionResult:
         layers = bfs_layers(graph, 0)
         for i in range(2, layers.depth + 1):
             if extract_forbidden_witness(graph, layers, i, 3, 2) is not None:
-                return CriterionResult(
-                    "witness",
-                    False,
-                    f"spurious witness on free graph {to_graph6(graph)} layer {i}",
-                )
-    return CriterionResult(
-        "witness",
-        True,
+                raise _Failed(f"spurious witness on free graph {to_graph6(graph)} layer {i}")
+    return (
         f"6 engineered violations yield re-validated embeddings; "
-        f"{len(sampled)} sampled free graphs yield none at any layer",
+        f"{len(sampled)} sampled free graphs yield none at any layer"
     )
 
 
-def _suite_bound_table(seed: int, corpus: _BatteryCorpus) -> CriterionResult:
+def _suite_bound_table(seed: int, corpus: _BatteryCorpus) -> str:
     checks = []
     for i in range(1, 7):
         checks.append((g_value(2, 2, i), 1, f"g(2,2,{i})"))
@@ -334,12 +291,8 @@ def _suite_bound_table(seed: int, corpus: _BatteryCorpus) -> CriterionResult:
         checks.append((theorem_bound(k, ell, 3), 1, f"theorem_bound({k},{ell},3)"))
     for got, want, label in checks:
         if got != want:
-            return CriterionResult(
-                "bound-table", False, f"{label} = {got}, expected {want}"
-            )
-    return CriterionResult(
-        "bound-table", True, f"{len(checks)} hand-derived recursion values match"
-    )
+            raise _Failed(f"{label} = {got}, expected {want}")
+    return f"{len(checks)} hand-derived recursion values match"
 
 
 def _oracle_hosts(seed: int, corpus: _BatteryCorpus) -> list[Graph]:
@@ -358,14 +311,12 @@ def _oracle_hosts(seed: int, corpus: _BatteryCorpus) -> list[Graph]:
     return hosts
 
 
-def _suite_oracles(seed: int, corpus: _BatteryCorpus) -> CriterionResult:
+def _suite_oracles(seed: int, corpus: _BatteryCorpus) -> str:
     gamma_checked = 0
     for graph in corpus(7):
         gamma_checked += 1
         if gamma_exact(graph).gamma != gamma_brute_force(graph).gamma:
-            return CriterionResult(
-                "oracles", False, f"gamma mismatch on {to_graph6(graph)}"
-            )
+            raise _Failed(f"gamma mismatch on {to_graph6(graph)}")
     hosts = _oracle_hosts(seed, corpus)
     patterns = corpus(5)
     pair_count = 0
@@ -375,46 +326,36 @@ def _suite_oracles(seed: int, corpus: _BatteryCorpus) -> CriterionResult:
             fast = contains_induced(host, pattern)
             slow = induced_subgraph_brute(host, pattern)
             if (fast is None) != (slow is None):
-                return CriterionResult(
-                    "oracles",
-                    False,
+                raise _Failed(
                     f"containment mismatch: host {to_graph6(host)} "
-                    f"pattern {to_graph6(pattern)}",
+                    f"pattern {to_graph6(pattern)}"
                 )
             if fast is not None and not verify_embedding(host, pattern, fast):
-                return CriterionResult(
-                    "oracles", False, f"invalid embedding on host {to_graph6(host)}"
-                )
-    return CriterionResult(
-        "oracles",
-        True,
+                raise _Failed(f"invalid embedding on host {to_graph6(host)}")
+    return (
         f"two gamma routes agree on {gamma_checked} graphs; two containment "
-        f"routes agree on {pair_count} host/pattern pairs",
+        f"routes agree on {pair_count} host/pattern pairs"
     )
 
 
-def _suite_roundtrip(seed: int, corpus: _BatteryCorpus) -> CriterionResult:
+def _suite_roundtrip(seed: int, corpus: _BatteryCorpus) -> str:
     count = 0
     for graph in corpus():
         count += 1
         encoded = to_graph6(graph)
         back = parse_graph6(encoded)
         if back.n != graph.n or back.adj != graph.adj:
-            return CriterionResult("roundtrip", False, f"round-trip broke {encoded}")
+            raise _Failed(f"round-trip broke {encoded}")
     truncated = parse_graph6("D?")
     if truncated.n != 5 or truncated.edge_count() != 0:
-        return CriterionResult("roundtrip", False, "'D?' did not decode to 5 isolated vertices")
+        raise _Failed("'D?' did not decode to 5 isolated vertices")
     pair = parse_graph6("A_")
     if pair.n != 2 or pair.edges() != [(0, 1)]:
-        return CriterionResult("roundtrip", False, "'A_' did not decode to a single edge")
-    return CriterionResult(
-        "roundtrip",
-        True,
-        f"{count} corpus graphs round-trip; 'D?' and 'A_' decode as documented",
-    )
+        raise _Failed("'A_' did not decode to a single edge")
+    return f"{count} corpus graphs round-trip; 'D?' and 'A_' decode as documented"
 
 
-_SUITES: dict[str, Callable[[int, _BatteryCorpus], CriterionResult]] = {
+_SUITES: dict[str, Callable[[int, _BatteryCorpus], str]] = {
     "paths": _suite_paths,
     "families": _suite_families,
     "ore": _suite_ore,
@@ -443,7 +384,11 @@ def run_suite(
         raise DomcertError(
             f"unknown suite {name!r}; choose from {', '.join(SUITE_NAMES)}"
         )
-    return _SUITES[name](seed, corpus if corpus is not None else _BatteryCorpus())
+    try:
+        detail = _SUITES[name](seed, corpus if corpus is not None else _BatteryCorpus())
+    except _Failed as failure:
+        return CriterionResult(name, False, str(failure))
+    return CriterionResult(name, True, detail)
 
 
 def run_suites(

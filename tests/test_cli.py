@@ -9,6 +9,7 @@ import subprocess
 import sys
 
 import pytest
+from conftest import graphs
 from hypothesis import given, strategies as st
 
 import domcert
@@ -254,6 +255,36 @@ class TestBounds:
         assert report["result"]["theorem_bound"] == 1 + 2 * (MAX_BOUND_PARAM - 3)
 
 
+class TestReportLayout:
+    @pytest.mark.parametrize(
+        "argv, keys",
+        [
+            (["gamma", "--graph6", "D~{"], ["result"]),
+            (["free", "--graph6", "D~{", "--m", "4"], ["result"]),
+            (["dominate", "--graph6", "D~{"], ["result", "bound_report"]),
+            (["witness", "--graph6", to_graph6(gen_path(5)), "--layer", "2", "--k", "3",
+              "--l", "2"], ["result", "witnesses"]),
+            (["leq", "--first", "claw", "--second", "sstar:3"], ["result"]),
+            (["bounds", "--k", "3", "--l", "2", "--m", "5"], ["result"]),
+            (["gen", "--family", "path", "--size", "3"], ["result"]),
+            (["verify", "--suite", "bound-table"], ["result", "criteria"]),
+        ],
+        ids=["gamma", "free", "dominate", "witness", "leq", "bounds", "gen", "verify"],
+    )
+    def test_top_level_key_order(self, argv, keys, capsys):
+        report = run_json(argv, capsys)
+        assert list(report) == ["command", "input", "parameters"] + keys
+        assert report["command"] == argv[0]
+
+    def test_bound_report_key_order(self, capsys):
+        argv = ["dominate", "--graph6", to_graph6(gen_path(6)), "--k", "3", "--l", "2",
+                "--m", "6"]
+        assert list(run_json(argv, capsys)["bound_report"]) == [
+            "root", "layer_sizes", "total_size", "k", "l", "m",
+            "layer_bounds", "total_bound", "bound_held", "freeness_checked",
+        ]
+
+
 class TestGen:
     def test_kstar(self, capsys):
         report = run_json(["gen", "--family", "kstar", "--size", "3"], capsys)
@@ -362,6 +393,40 @@ class TestInputBudgets:
         monkeypatch.setattr(cli, "_cmd_gamma", exhausted)
         err = run_error(["gamma", "--graph6", "A_"], capsys)
         assert error.__name__ in err
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            # layer_bounds of P_30 from its centre pass Python's 4300-digit limit.
+            ["dominate", "--graph6", to_graph6(gen_path(30)), "--k", "3", "--l", "3", "--m", "6"],
+            ["dominate", "--graph6", "Bw", "--k", "128", "--l", "128", "--m", "8"],
+            ["witness", "--graph6", "EhCG", "--root", "0", "--layer", "5",
+             "--k", "128", "--l", "128"],
+        ],
+        ids=["dominate-deep-layers", "dominate-large-parameters", "witness-large-parameters"],
+    )
+    def test_bound_budget(self, argv, capsys):
+        err = run_error(argv, capsys)
+        assert f"has more than {MAX_BOUND_BITS} bits" in err
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["dominate", "--graph6", "Bw", "--k", "2", "--l", "2", "--m", "129"],
+            ["witness", "--graph6", "Bw", "--layer", "129", "--k", "2", "--l", "2"],
+        ],
+        ids=["dominate", "witness"],
+    )
+    def test_bound_parameter_limit(self, argv, capsys):
+        err = run_error(argv, capsys)
+        assert f"129 is above the limit of {MAX_BOUND_PARAM}" in err
+
+    @given(graphs(max_n=7), *[st.integers(1, 200)] * 4)
+    def test_bound_parameters_exit_cleanly(self, graph, k, ell, m, layer):
+        text = to_graph6(graph)
+        bound = ["--k", str(k), "--l", str(ell)]
+        assert main(["dominate", "--graph6", text, "--m", str(m)] + bound) in (0, 2)
+        assert main(["witness", "--graph6", text, "--layer", str(layer)] + bound) in (0, 2)
 
     @given(
         st.text(

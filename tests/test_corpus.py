@@ -14,8 +14,6 @@ from domcert.corpus import (
     EXPECTED_CONNECTED_COUNTS,
     _refine,
     all_labeled_graphs,
-    are_isomorphic,
-    canonical_form,
     canonical_graph6,
     corpus_graphs,
     enumerate_connected_graphs,
@@ -150,16 +148,13 @@ class TestCanonicalForm:
         assert canonical_graph6(c6) != canonical_graph6(two_triangles)
 
     def test_canonical_form_is_isomorphic_fixed_point(self):
-        g = gen_k_star(3)
-        canon = canonical_form(g)
-        assert are_isomorphic(g, canon)
-        assert to_graph6(canon) == canonical_graph6(g)
-        assert canonical_form(canon) == canon
+        canon = canonical_graph6(gen_k_star(3))
+        assert canonical_graph6(parse_graph6(canon)) == canon
 
     def test_are_isomorphic_examples(self):
-        assert are_isomorphic(gen_s_star(2), gen_path(5))
-        assert not are_isomorphic(gen_path(4), gen_k_star(3))
-        assert not are_isomorphic(gen_path(4), gen_path(5))
+        assert canonical_graph6(gen_s_star(2)) == canonical_graph6(gen_path(5))
+        assert canonical_graph6(gen_path(4)) != canonical_graph6(gen_k_star(3))
+        assert canonical_graph6(gen_path(4)) != canonical_graph6(gen_path(5))
 
     @given(graphs(min_n=1, max_n=7), st.randoms(use_true_random=False))
     def test_invariant_under_relabeling(self, g, rng):

@@ -1,16 +1,14 @@
-"""Induced containment, freeness, the family order, and the depth pre-filter."""
+"""Induced containment, freeness, and the family order."""
 
 from __future__ import annotations
 
 import hashlib
 from itertools import combinations, permutations
 
-import pytest
 from hypothesis import given
 
-from conftest import connected_graphs, graphs
+from conftest import graphs
 from domcert.corpus import corpus_graphs
-from domcert.errors import DisconnectedGraphError, PreconditionError
 from domcert.graph_core import (
     from_edge_list,
     gen_complete,
@@ -21,7 +19,6 @@ from domcert.graph_core import (
 )
 from domcert.subgraph import (
     Embedding,
-    bfs_depth_consistent_with_path_free,
     contains_induced,
     induced_subgraph_brute,
     is_free,
@@ -188,34 +185,3 @@ class TestLeqRelation:
         # claw <= spider-3, so claw-free graphs must be spider-3-free
         if is_free(g, [claw()]):
             assert is_free(g, [gen_s_star(3)])
-
-
-class TestDepthFilter:
-    def test_path_realizes_full_depth(self):
-        assert not bfs_depth_consistent_with_path_free(gen_path(5), 5)
-
-    def test_complete_shallow(self):
-        assert bfs_depth_consistent_with_path_free(gen_complete(6), 3)
-
-    def test_spider_tip_to_tip_depth(self):
-        # From a leg tip the opposite tip sits at distance 4, layer index m-1.
-        assert not bfs_depth_consistent_with_path_free(gen_s_star(3), 5)
-
-    def test_one_sided_on_six_cycle(self):
-        c6 = cycle(6)
-        assert bfs_depth_consistent_with_path_free(c6, 5)
-        assert not is_free(c6, [gen_path(5)])
-
-    def test_disconnected_rejected(self):
-        with pytest.raises(DisconnectedGraphError):
-            bfs_depth_consistent_with_path_free(gen_empty(3), 4)
-
-    def test_tiny_m_rejected(self):
-        with pytest.raises(PreconditionError):
-            bfs_depth_consistent_with_path_free(gen_path(2), 1)
-
-    @given(connected_graphs(max_n=7))
-    def test_implied_by_path_freeness(self, g):
-        for m in (3, 4, 5):
-            if is_free(g, [gen_path(m)]):
-                assert bfs_depth_consistent_with_path_free(g, m)

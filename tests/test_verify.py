@@ -2,11 +2,15 @@
 
 from __future__ import annotations
 
+import json
+from types import SimpleNamespace
+
 import pytest
 
 from domcert import corpus, verify
+from domcert.cli import main
 from domcert.corpus import EXPECTED_CONNECTED_COUNTS
-from domcert.verify import SUITE_NAMES, run_suite, run_suites
+from domcert.verify import SUITE_NAMES, CriterionResult, run_suite, run_suites
 
 CORPUS_SIZE = sum(EXPECTED_CONNECTED_COUNTS.values())
 
@@ -53,3 +57,31 @@ def test_suite_alone_parses_corpus_itself(loads):
     result = run_suite("roundtrip")
     assert result.passed
     assert len(loads) == 1
+
+
+@pytest.fixture
+def wrong_paths(monkeypatch):
+    """gamma_exact answers 0 for every graph, so `paths` fails on P_1."""
+    monkeypatch.setattr(verify, "gamma_exact", lambda graph: SimpleNamespace(gamma=0))
+
+
+def test_failing_suite_result(wrong_paths):
+    detail = "path on 1 vertices gave 0, expected 1"
+    assert run_suite("paths") == CriterionResult("paths", False, detail)
+
+
+def test_failing_suite_exits_one(wrong_paths, capsys):
+    assert main(["verify", "--suite", "paths"]) == 1
+    report = json.loads(capsys.readouterr().out)
+    assert report["result"] == {"passed": False, "failed": ["paths"]}
+    (criterion,) = report["criteria"]
+    assert criterion == {
+        "name": "paths", "passed": False, "detail": "path on 1 vertices gave 0, expected 1"
+    }
+
+
+def test_nested_check_failure(monkeypatch):
+    monkeypatch.setattr(verify, "is_dominating", lambda graph, vertices: False)
+    result = run_suite("soundness")
+    assert (result.name, result.passed) == ("soundness", False)
+    assert result.detail.startswith("output fails to dominate ")
