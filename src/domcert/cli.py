@@ -292,8 +292,6 @@ def _cmd_leq(args) -> tuple[dict, int]:
 
 
 def _cmd_bounds(args) -> tuple[dict, int]:
-    if args.k is None or args.l is None:
-        raise UsageError("bounds needs --k and --l")
     if (args.i is None) == (args.m is None):
         raise UsageError("bounds needs exactly one of --i or --m")
     _check_bound_budget(args, ("k", "l", "i", "m"), args.i if args.i is not None else args.m - 2)

@@ -1,9 +1,9 @@
 """Graph corpora: exhaustive small-graph enumeration and seeded random sampling.
 
 The connected graphs on up to 8 vertices (one representative per isomorphism
-class) ship as a packaged graph6 fixture. Running this module as a script
-regenerates the fixture from scratch; the enumeration is independent of the
-shipped file, so the test suite can cross-check counts.
+class) ship as a packaged graph6 fixture. ``write_fixture`` regenerates it from
+scratch (README gives the one-line command); the enumeration is independent of
+the shipped file, so the test suite can cross-check counts.
 
 Isomorph rejection uses a canonical labeling: equitable refinement on the
 popcounts of neighbourhood masks ANDed with cell masks, then individualization,
@@ -19,6 +19,7 @@ from typing import Iterable, Iterator, Optional, Sequence
 from .graph_core import (
     Graph,
     _members,
+    _Neighbourhoods,
     _parse_graph6,
     from_edge_list,
     is_connected,
@@ -173,22 +174,18 @@ def all_labeled_graphs(n: int) -> Iterator[Graph]:
     """Every labeled graph on n vertices, one per edge-subset, 2^(n(n-1)/2) total.
 
     Edge subset i is bit i of the counter, over the pairs u < v in
-    lexicographic order. Equal neighbourhoods are one shared frozenset.
+    lexicographic order. Equal neighbourhoods are one shared frozenset, taken
+    by bitmask from one table for the whole enumeration.
     """
     pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
-    shared: dict[int, frozenset[int]] = {}
+    shared = _Neighbourhoods()
     for mask in range(1 << len(pairs)):
         nbrs = [0] * n
         for i in _members(mask):
             u, v = pairs[i]
             nbrs[u] |= 1 << v
             nbrs[v] |= 1 << u
-        adj = []
-        for nbr in nbrs:
-            if nbr not in shared:
-                shared[nbr] = frozenset(_members(nbr))
-            adj.append(shared[nbr])
-        yield Graph(n, tuple(adj))
+        yield Graph(n, tuple(map(shared.__getitem__, nbrs)))
 
 
 # ---------------------------------------------------------------------------
@@ -202,12 +199,12 @@ def fixture_path():
 def load_fixture_corpus() -> dict[int, list[Graph]]:
     """Parse the packaged corpus, grouped by vertex count.
 
-    Equal neighbourhoods are one shared frozenset, through a table local to
-    this call: with n <= 8 there are at most 256 of them, so the parsed corpus
-    holds a few hundred sets instead of one per vertex.
+    Equal neighbourhoods are one shared frozenset, through a bitmask-keyed
+    table local to this call: with n <= 8 there are at most 256 of them, so the
+    parsed corpus holds a few hundred sets instead of one per vertex.
     """
     grouped: dict[int, list[Graph]] = {}
-    shared: dict[frozenset[int], frozenset[int]] = {}
+    shared = _Neighbourhoods()
     for line in fixture_path().read_text().splitlines():
         line = line.strip()
         if line:
@@ -254,10 +251,13 @@ def sample_free_connected(
 
     Draws cycle through the (n, p) configs; connectivity and freeness are
     rechecked on every draw, so the output is certified, not heuristic.
-    Deterministic for a fixed seed and config sequence.
+    Deterministic for a fixed seed and config sequence. Accepted graphs take
+    their neighbourhoods from one bitmask-keyed table local to this call, so
+    equal neighbourhoods are one shared frozenset.
     """
     pattern_list = list(patterns)
     rng = random.Random(seed)
+    shared = _Neighbourhoods()
     out: list[Graph] = []
     attempts = 0
     limit = max_attempts if max_attempts is not None else 4000 * max(count, 1)
@@ -270,5 +270,5 @@ def sample_free_connected(
         attempts += 1
         graph = erdos_renyi(n, p, rng)
         if is_connected(graph) and is_free(graph, pattern_list):
-            out.append(graph)
+            out.append(Graph(n, tuple(map(shared.__getitem__, graph.masks))))
     return out

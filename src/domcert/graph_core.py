@@ -13,9 +13,9 @@ values; there is no wrapper class.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass, field
 from functools import cached_property
-from math import isqrt
 from typing import Iterable, Sequence
 
 from .errors import (
@@ -151,22 +151,33 @@ def parse_graph6(text: str) -> Graph:
     Missing trailing body bytes are read as all-zero bits; extra bytes and
     nonzero padding bits are rejected.
     """
-    return _parse_graph6(text, {})
+    return _parse_graph6(text, _Neighbourhoods())
 
 
-def _parse_graph6(text: str, shared: dict[frozenset[int], frozenset[int]]) -> Graph:
-    """parse_graph6 that takes each neighbourhood from shared, adding the new ones.
+class _Neighbourhoods(dict):
+    """Neighbourhood frozensets by bitmask, each made on its first lookup."""
 
-    A table kept across many calls makes equal neighbourhoods one object.
-    """
+    def __missing__(self, mask: int) -> frozenset[int]:
+        return self.setdefault(mask, frozenset(_members(mask)))
+
+
+_OUTSIDE_GRAPH6 = re.compile(r"[^?-~]")  # a character outside [63, 126]
+_NONZERO_BYTE = re.compile(rb"[^?]")  # a body byte with some bit set
+# Body byte value -> offsets of its set bits within its 6-bit group, high bit first.
+_BIT_OFFSETS = tuple(tuple(j for j in range(6) if val >> (5 - j) & 1) for val in range(64))
+
+
+def _parse_graph6(text: str, shared: _Neighbourhoods) -> Graph:
+    """parse_graph6 that takes each neighbourhood from shared by its bitmask: one
+    table kept across many calls makes equal neighbourhoods one frozenset."""
     s = text.strip()
     if s.startswith(GRAPH6_HEADER):
         s = s[len(GRAPH6_HEADER):]
     if not s:
         raise Graph6FormatError("empty graph6 string")
-    for ch in s:
-        if not 63 <= ord(ch) <= 126:
-            raise Graph6FormatError(f"character {ch!r} outside graph6 range [63,126]")
+    bad = _OUTSIDE_GRAPH6.search(s)
+    if bad:
+        raise Graph6FormatError(f"character {bad.group()!r} outside graph6 range [63,126]")
     data = s.encode("ascii")
     n, body = _decode_size(data)
     nbits = n * (n - 1) // 2
@@ -175,22 +186,23 @@ def _parse_graph6(text: str, shared: dict[frozenset[int], frozenset[int]]) -> Gr
         raise Graph6FormatError(
             f"trailing garbage: {len(body)} body bytes where at most {nbytes} expected"
         )
-    # Visit set bits only; body bit k (high bit first) is u < v, k = v(v-1)/2 + u.
-    adj: dict[int, set[int]] = {}
-    for i, b in enumerate(body):
-        val = b - 63
-        while val:
-            top = val.bit_length() - 1
-            val ^= 1 << top
-            k = 6 * i + 5 - top
+    # Visit nonzero bytes only; body bit k (high bit first) is u < v with
+    # k = v(v-1)/2 + u, and k only grows, so column v only moves forward.
+    masks = [0] * n
+    v, start = 1, 0  # start = v(v-1)/2, the first k of column v
+    for byte in _NONZERO_BYTE.finditer(body):
+        i = byte.start()
+        for j in _BIT_OFFSETS[body[i] - 63]:
+            k = 6 * i + j
             if k >= nbits:
                 raise Graph6FormatError("nonzero padding bits")
-            v = (1 + isqrt(1 + 8 * k)) // 2
-            u = k - v * (v - 1) // 2
-            adj.setdefault(u, set()).add(v)
-            adj.setdefault(v, set()).add(u)
-    nbrs = (frozenset(adj.get(v, ())) for v in range(n))
-    return Graph(n, tuple(shared.setdefault(nbr, nbr) for nbr in nbrs))
+            while k >= start + v:
+                start += v
+                v += 1
+            u = k - start
+            masks[u] |= 1 << v
+            masks[v] |= 1 << u
+    return Graph(n, tuple(map(shared.__getitem__, masks)))
 
 
 def to_graph6(graph: Graph) -> str:

@@ -1,9 +1,11 @@
-"""Shared strategies and hypothesis settings for the test suite."""
+"""Shared strategies, hypothesis settings and the session's verify battery."""
 
 from __future__ import annotations
 
+import pytest
 from hypothesis import HealthCheck, settings, strategies as st
 
+from domcert import corpus, verify
 from domcert.graph_core import Graph, from_edge_list
 
 settings.register_profile(
@@ -40,3 +42,27 @@ def connected_graphs(draw, min_n: int = 1, max_n: int = 8) -> Graph:
         if pair not in edges and draw(st.booleans()):
             edges.add(pair)
     return from_edge_list(n, sorted(edges))
+
+
+def count_corpus_parses(patch) -> list:
+    """Count the corpus parses made through either module's binding."""
+    calls = []
+    original = corpus.load_fixture_corpus
+
+    def counted():
+        calls.append(1)
+        return original()
+
+    patch.setattr(corpus, "load_fixture_corpus", counted)
+    patch.setattr(verify, "load_fixture_corpus", counted)
+    return calls
+
+
+@pytest.fixture(scope="session")
+def battery():
+    """The full verify battery at the default seed, run once per session: its
+    results in suite order and the number of corpus parses it made."""
+    with pytest.MonkeyPatch.context() as patch:
+        loads = count_corpus_parses(patch)
+        results = verify.run_suites()
+    return results, len(loads)

@@ -232,6 +232,12 @@ class TestBounds:
         assert "exactly one" in err
         run_error(["bounds", "--k", "2", "--l", "2"], capsys)
 
+    def test_missing_l_is_an_argparse_error(self, capsys):
+        with pytest.raises(SystemExit) as exit_info:
+            main(["bounds", "--k", "2", "--i", "2"])
+        assert exit_info.value.code == 2
+        assert "the following arguments are required: --l" in capsys.readouterr().err
+
     def test_value_past_bit_limit(self, capsys):
         # theorem_bound(10, 10, 8) has more than 4300 decimal digits.
         err = run_error(["bounds", "--k", "10", "--l", "10", "--m", "8"], capsys)

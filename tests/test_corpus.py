@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import random
+import sys
 from typing import Optional
 
 import pytest
@@ -35,6 +36,7 @@ from domcert.graph_core import (
     to_graph6,
 )
 from domcert.subgraph import is_free
+from domcert.verify import CLAW_CONFIGS_10, claw_graph
 
 
 def relabel(graph: Graph, perm: list[int]) -> Graph:
@@ -281,6 +283,24 @@ class TestSampling:
         one = sample_free_connected(5, [(6, 0.6)], patterns, seed=1)
         two = sample_free_connected(5, [(6, 0.6)], patterns, seed=2)
         assert [to_graph6(g) for g in one] != [to_graph6(g) for g in two]
+
+    def test_sampled_neighbourhoods_are_shared(self):
+        patterns = [claw_graph(), gen_k_star(3)]
+        batch = sample_free_connected(1000, CLAW_CONFIGS_10, patterns, seed=5)
+        distinct = {id(nbrs): nbrs for g in batch for nbrs in g.adj}.values()
+        assert len(distinct) == len(set(distinct)) <= 1 << 10
+        assert sum(sys.getsizeof(nbrs) for nbrs in distinct) < 1 << 20
+        assert batch == [from_edge_list(g.n, g.edges()) for g in batch]
+        # The same draws, filtered one by one.
+        rng, expected, attempts = random.Random(5), [], 0
+        while len(expected) < 1000:
+            n, p = CLAW_CONFIGS_10[attempts % len(CLAW_CONFIGS_10)]
+            attempts += 1
+            edges = [(u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < p]
+            g = from_edge_list(n, edges)
+            if is_connected(g) and is_free(g, patterns):
+                expected.append(edges)
+        assert [g.edges() for g in batch] == expected
 
     def test_stall_raises(self):
         # A single vertex is an induced subgraph of everything, so no draw can

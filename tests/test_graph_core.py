@@ -4,9 +4,10 @@ from __future__ import annotations
 
 import random
 from collections import deque
+from math import isqrt
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings, strategies as st
 
 from conftest import connected_graphs, graphs
 from domcert.domination import is_dominating
@@ -17,6 +18,7 @@ from domcert.errors import (
     GraphConstructionError,
 )
 from domcert.graph_core import (
+    GRAPH6_HEADER,
     Graph,
     bfs_layers,
     closed_neighborhood,
@@ -53,6 +55,74 @@ def literal_center(graph: Graph) -> int:
         if best is None or max(dist.values()) < best[0]:
             best = (max(dist.values()), root)
     return best[1]
+
+
+def reference_parse_graph6(text: str) -> Graph:
+    """Reference decoder: visits every set bit and finds its column with isqrt,
+    collecting one set per vertex."""
+    s = text.strip()
+    if s.startswith(GRAPH6_HEADER):
+        s = s[len(GRAPH6_HEADER):]
+    if not s:
+        raise Graph6FormatError("empty graph6 string")
+    for ch in s:
+        if not 63 <= ord(ch) <= 126:
+            raise Graph6FormatError(f"character {ch!r} outside graph6 range [63,126]")
+    data = s.encode("ascii")
+    if data[0] != 126:
+        n, body = data[0] - 63, data[1:]
+    elif len(data) < 4 or data[1] == 126:
+        raise Graph6FormatError("unsupported or truncated graph6 size field")
+    else:
+        n = ((data[1] - 63) << 12) | ((data[2] - 63) << 6) | (data[3] - 63)
+        body = data[4:]
+    nbits = n * (n - 1) // 2
+    nbytes = (nbits + 5) // 6
+    if len(body) > nbytes:
+        raise Graph6FormatError(
+            f"trailing garbage: {len(body)} body bytes where at most {nbytes} expected"
+        )
+    adj: dict[int, set[int]] = {}
+    for i, b in enumerate(body):
+        val = b - 63
+        while val:
+            top = val.bit_length() - 1
+            val ^= 1 << top
+            k = 6 * i + 5 - top
+            if k >= nbits:
+                raise Graph6FormatError("nonzero padding bits")
+            v = (1 + isqrt(1 + 8 * k)) // 2
+            u = k - v * (v - 1) // 2
+            adj.setdefault(u, set()).add(v)
+            adj.setdefault(v, set()).add(u)
+    return Graph(n, tuple(frozenset(adj.get(v, ())) for v in range(n)))
+
+
+def decode_outcome(decode, text: str):
+    """The decoded graph, or the type and message of what decoding raised."""
+    try:
+        return decode(text)
+    except Exception as exc:
+        return type(exc), str(exc)
+
+
+@st.composite
+def graph6_texts(draw) -> str:
+    """The graph6 string of a graph with n <= 70, optionally cut short, extended,
+    with one character overwritten (possibly outside graph6's range), or headed."""
+    n = draw(st.integers(0, 70))
+    pairs = [(u, v) for v in range(n) for u in range(v)]
+    edges = draw(st.sets(st.sampled_from(pairs), max_size=120)) if pairs else set()
+    text = to_graph6(from_edge_list(n, sorted(edges)))
+    if draw(st.booleans()):
+        text = text[: draw(st.integers(0, len(text)))]
+    text += draw(st.text(st.characters(min_codepoint=63, max_codepoint=126), max_size=2))
+    if text and draw(st.booleans()):
+        i = draw(st.integers(0, len(text) - 1))
+        text = text[:i] + draw(st.characters(max_codepoint=400)) + text[i + 1:]
+    if draw(st.booleans()):
+        text = GRAPH6_HEADER + text
+    return text
 
 
 def sparse_connected(n: int, rng: random.Random) -> Graph:
@@ -183,6 +253,30 @@ class TestGraph6:
     def test_roundtrip(self, g):
         back = parse_graph6(to_graph6(g))
         assert back.n == g.n and back.adj == g.adj
+
+    @settings(max_examples=200)
+    @given(graph6_texts())
+    def test_matches_reference_decoder(self, text):
+        expected = decode_outcome(reference_parse_graph6, text)
+        assert decode_outcome(parse_graph6, text) == expected
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            "", "   ", ">>graph6<<", ">>graph6<<A_", "A!", "B\u00e9", "C\u00ff?", "B~\x7f",
+            "A__", "A@", "A@_", "Bw", "Bx", "D?", "D??@", "Ch", "~", "~?", "~??", "~~??",
+            "~??@", "~?@@" + "?" * 347, "~?@@" + "?" * 348, "~?@@" + "?" * 346 + "@",
+            "~?@@" + "?" * 346 + "B", "~?@@" + "?" * 346 + "C", "~?@@_" + "?" * 347,
+        ],
+    )
+    def test_malformed_inputs_match_reference_decoder(self, text):
+        expected = decode_outcome(reference_parse_graph6, text)
+        assert decode_outcome(parse_graph6, text) == expected
+
+    def test_large_sparse_graph_matches_reference_decoder(self):
+        g = sparse_connected(2000, random.Random(7))
+        text = to_graph6(g)
+        assert parse_graph6(text) == reference_parse_graph6(text) == g
 
 
 class TestEdgeListFormat:

@@ -7,7 +7,8 @@ from types import SimpleNamespace
 
 import pytest
 
-from domcert import corpus, verify
+from conftest import count_corpus_parses
+from domcert import verify
 from domcert.cli import main
 from domcert.corpus import EXPECTED_CONNECTED_COUNTS
 from domcert.verify import SUITE_NAMES, CriterionResult, run_suite, run_suites
@@ -18,23 +19,14 @@ CORPUS_SIZE = sum(EXPECTED_CONNECTED_COUNTS.values())
 @pytest.fixture
 def loads(monkeypatch):
     """Count the corpus parses made through either module's binding."""
-    calls = []
-    original = corpus.load_fixture_corpus
-
-    def counted():
-        calls.append(1)
-        return original()
-
-    monkeypatch.setattr(corpus, "load_fixture_corpus", counted)
-    monkeypatch.setattr(verify, "load_fixture_corpus", counted)
-    return calls
+    return count_corpus_parses(monkeypatch)
 
 
-def test_full_battery_parses_corpus_once(loads):
-    results = run_suites()
+def test_full_battery_parses_corpus_once(battery):
+    results, loads = battery
     assert [r.name for r in results] == list(SUITE_NAMES)
     assert all(r.passed for r in results), [r.detail for r in results if not r.passed]
-    assert len(loads) == 1
+    assert loads == 1
 
 
 def test_battery_without_corpus_suites_parses_nothing(loads):
