@@ -335,6 +335,19 @@ def _contradiction(stage: str) -> WitnessContradictionError:
     )
 
 
+def _pigeonhole(
+    graph: Graph, centres: Iterable[int], members: Iterable[int], need: int, target: str
+) -> tuple[int, list[int]]:
+    """The lowest of centres adjacent to at least need of members, with those
+    members ascending; a contradiction naming target when there is none."""
+    members_mask = sum(1 << v for v in members)
+    for centre in sorted(centres):
+        attached = _members(graph.masks[centre] & members_mask)
+        if len(attached) >= need:
+            return centre, attached
+    raise _contradiction(f"no pigeonhole vertex reaches {target}")
+
+
 def _u_overflow_witness(
     graph: Graph,
     layers: LayerDecomposition,
@@ -368,13 +381,9 @@ def _u_overflow_witness(
     witness = _u_overflow_witness(graph, layers, i - 1, k, ell, u2_set, deeper)
     if witness is not None:
         return witness
-    u2_mask = sum(1 << v for v in u2_set)
-    for u_prime in sorted(deeper):
-        attached = _members(graph.masks[u_prime] & u2_mask)
-        if len(attached) >= ell:
-            legs = [(mid, pendant_of[mid]) for mid in attached[:ell]]
-            return _sstar_witness(graph, u_prime, legs)
-    raise _contradiction("no pigeonhole vertex reaches ell members")
+    u_prime, attached = _pigeonhole(graph, deeper, u2_set, ell, "ell members")
+    legs = [(mid, pendant_of[mid]) for mid in attached[:ell]]
+    return _sstar_witness(graph, u_prime, legs)
 
 
 def extract_forbidden_witness(
@@ -408,17 +417,14 @@ def extract_forbidden_witness(
     # privates Y the Ramsey dichotomy forces K*_k (clique in Y plus the x's as
     # pendants) or S*_ell (u' as center, the x's as middles, Y as tips).
     pendant_of = private_neighbors(graph, x0_set, residual)
-    threshold = ramsey_upper(k, ell).bound
-    x0_mask = sum(1 << x for x in x0_set)
-    for u_prime in sorted(u_set):
-        attached = _members(graph.masks[u_prime] & x0_mask)
-        if len(attached) >= threshold:
-            middle_of = {pendant_of[x]: x for x in attached}
-            dichotomy = ramsey_witness(graph, frozenset(middle_of), k, ell)
-            if dichotomy is None:
-                raise _contradiction("the Ramsey dichotomy produced neither set")
-            if dichotomy.kind == "clique":
-                return _kstar_witness(graph, dichotomy.vertices, middle_of)
-            legs = [(middle_of[y], y) for y in dichotomy.vertices]
-            return _sstar_witness(graph, u_prime, legs)
-    raise _contradiction("no pigeonhole vertex reaches the Ramsey threshold")
+    u_prime, attached = _pigeonhole(
+        graph, u_set, x0_set, ramsey_upper(k, ell).bound, "the Ramsey threshold"
+    )
+    middle_of = {pendant_of[x]: x for x in attached}
+    dichotomy = ramsey_witness(graph, frozenset(middle_of), k, ell)
+    if dichotomy is None:
+        raise _contradiction("the Ramsey dichotomy produced neither set")
+    if dichotomy.kind == "clique":
+        return _kstar_witness(graph, dichotomy.vertices, middle_of)
+    legs = [(middle_of[y], y) for y in dichotomy.vertices]
+    return _sstar_witness(graph, u_prime, legs)

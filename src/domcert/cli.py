@@ -295,13 +295,8 @@ def _cmd_bounds(args) -> tuple[dict, int]:
     if (args.i is None) == (args.m is None):
         raise UsageError("bounds needs exactly one of --i or --m")
     _check_bound_budget(args, ("k", "l", "i", "m"), args.i if args.i is not None else args.m - 2)
-    ramsey = ramsey_upper(args.k, args.l)
-    ramsey_obj = {
-        "s": ramsey.s,
-        "t": ramsey.t,
-        "bound": ramsey.bound,
-        "kind": ramsey.kind,
-    }
+    # A copy: ramsey_upper's instances are cached and shared.
+    ramsey_obj = dict(vars(ramsey_upper(args.k, args.l)))
     if args.i is not None:
         result = {
             "ramsey": ramsey_obj,
@@ -401,11 +396,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--m", type=int)
 
     p = sub.add_parser("gen", help="emit a named family graph")
-    p.add_argument(
-        "--family",
-        required=True,
-        choices=("path", "complete", "empty", "kstar", "sstar", "claw"),
-    )
+    p.add_argument("--family", required=True, choices=(*_FAMILIES, "claw"))
     p.add_argument("--size", type=int)
 
     p = sub.add_parser("verify", help="run acceptance suites")

@@ -245,7 +245,6 @@ def sample_free_connected(
     configs: Sequence[tuple[int, float]],
     patterns: Iterable[Graph],
     seed: int,
-    max_attempts: Optional[int] = None,
 ) -> list[Graph]:
     """Rejection-sample connected graphs free of all patterns.
 
@@ -260,7 +259,7 @@ def sample_free_connected(
     shared = _Neighbourhoods()
     out: list[Graph] = []
     attempts = 0
-    limit = max_attempts if max_attempts is not None else 4000 * max(count, 1)
+    limit = 4000 * max(count, 1)
     while len(out) < count:
         if attempts >= limit:
             raise RuntimeError(

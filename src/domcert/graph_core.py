@@ -14,7 +14,7 @@ values; there is no wrapper class.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, Sequence
 
@@ -54,10 +54,6 @@ class Graph:
                 if u not in self.adj[v]:
                     raise GraphConstructionError(f"asymmetric edge {u}-{v}")
 
-    @property
-    def vertices(self) -> range:
-        return range(self.n)
-
     @cached_property
     def masks(self) -> tuple[int, ...]:
         """Open neighbourhoods as bitmasks: bit u of masks[v] is set iff uv is an edge."""
@@ -65,9 +61,6 @@ class Graph:
 
     def has_edge(self, u: int, v: int) -> bool:
         return v in self.adj[u]
-
-    def degree(self, v: int) -> int:
-        return len(self.adj[v])
 
     def degree_sequence(self) -> tuple[int, ...]:
         """Degrees in non-increasing order."""
@@ -103,7 +96,7 @@ class LayerDecomposition:
     """BFS layers from a root: layers[i] holds the vertices at distance exactly i."""
 
     root: int
-    layers: tuple[frozenset[int], ...] = field(default_factory=tuple)
+    layers: tuple[frozenset[int], ...]
 
     def layer(self, i: int) -> frozenset[int]:
         """Layer i, empty beyond the last nonempty one."""
@@ -116,26 +109,19 @@ class LayerDecomposition:
         """Index of the last nonempty layer (the root's eccentricity)."""
         return len(self.layers) - 1
 
-    def covered(self) -> frozenset[int]:
-        """All vertices reached from the root (its component)."""
-        return frozenset().union(*self.layers) if self.layers else frozenset()
-
 
 def from_edge_list(n: int, edges: Iterable[tuple[int, int]]) -> Graph:
     """Build a graph from explicit edges, rejecting loops and duplicates."""
     if n < 0:
         raise GraphConstructionError(f"negative vertex count {n}")
     adj: list[set[int]] = [set() for _ in range(n)]
-    seen: set[tuple[int, int]] = set()
     for u, v in edges:
         if not (0 <= u < n and 0 <= v < n):
             raise GraphConstructionError(f"edge ({u},{v}) has an id outside [0,{n})")
         if u == v:
             raise GraphConstructionError(f"loop edge ({u},{v})")
-        key = (min(u, v), max(u, v))
-        if key in seen:
+        if v in adj[u]:
             raise GraphConstructionError(f"duplicate edge ({u},{v})")
-        seen.add(key)
         adj[u].add(v)
         adj[v].add(u)
     return Graph(n, tuple(frozenset(s) for s in adj))
@@ -162,7 +148,7 @@ class _Neighbourhoods(dict):
 
 
 _OUTSIDE_GRAPH6 = re.compile(r"[^?-~]")  # a character outside [63, 126]
-_NONZERO_BYTE = re.compile(rb"[^?]")  # a body byte with some bit set
+_NONZERO_BYTE = re.compile(r"[^?]")  # a body byte with some bit set
 # Body byte value -> offsets of its set bits within its 6-bit group, high bit first.
 _BIT_OFFSETS = tuple(tuple(j for j in range(6) if val >> (5 - j) & 1) for val in range(64))
 
@@ -178,22 +164,21 @@ def _parse_graph6(text: str, shared: _Neighbourhoods) -> Graph:
     bad = _OUTSIDE_GRAPH6.search(s)
     if bad:
         raise Graph6FormatError(f"character {bad.group()!r} outside graph6 range [63,126]")
-    data = s.encode("ascii")
-    n, body = _decode_size(data)
+    n, offset = _decode_size(s)
     nbits = n * (n - 1) // 2
     nbytes = (nbits + 5) // 6
-    if len(body) > nbytes:
+    if len(s) - offset > nbytes:
         raise Graph6FormatError(
-            f"trailing garbage: {len(body)} body bytes where at most {nbytes} expected"
+            f"trailing garbage: {len(s) - offset} body bytes where at most {nbytes} expected"
         )
     # Visit nonzero bytes only; body bit k (high bit first) is u < v with
     # k = v(v-1)/2 + u, and k only grows, so column v only moves forward.
     masks = [0] * n
     v, start = 1, 0  # start = v(v-1)/2, the first k of column v
-    for byte in _NONZERO_BYTE.finditer(body):
+    for byte in _NONZERO_BYTE.finditer(s, offset):
         i = byte.start()
-        for j in _BIT_OFFSETS[body[i] - 63]:
-            k = 6 * i + j
+        for j in _BIT_OFFSETS[ord(s[i]) - 63]:
+            k = 6 * (i - offset) + j
             if k >= nbits:
                 raise Graph6FormatError("nonzero padding bits")
             while k >= start + v:
@@ -208,21 +193,23 @@ def _parse_graph6(text: str, shared: _Neighbourhoods) -> Graph:
 def to_graph6(graph: Graph) -> str:
     """Encode a graph as a canonical-length graph6 string (no header, no newline)."""
     n = graph.n
+    size = _encode_size(n)  # refuses an order past the graph6 range before any work
     bits = "".join("1" if u in graph.adj[v] else "0" for v in range(1, n) for u in range(v))
     bits += "0" * (-len(bits) % 6)
     body = bytes(int(bits[i:i + 6], 2) + 63 for i in range(0, len(bits), 6))
-    return (_encode_size(n) + body).decode("ascii")
+    return (size + body).decode("ascii")
 
 
-def _decode_size(data: bytes) -> tuple[int, bytes]:
-    if data[0] != 126:
-        return data[0] - 63, data[1:]
-    if len(data) < 4 or data[1] == 126:
+def _decode_size(s: str) -> tuple[int, int]:
+    """The order n of a graph6 string and the offset of its body."""
+    if s[0] != "~":
+        return ord(s[0]) - 63, 1
+    if len(s) < 4 or s[1] == "~":
         raise Graph6FormatError("unsupported or truncated graph6 size field")
     n = 0
-    for b in data[1:4]:
-        n = (n << 6) | (b - 63)
-    return n, data[4:]
+    for c in s[1:4]:
+        n = (n << 6) | (ord(c) - 63)
+    return n, 4
 
 
 def _encode_size(n: int) -> bytes:
@@ -253,6 +240,10 @@ def parse_edge_list(text: str) -> Graph:
         n, m = int(head[0]), int(head[1])
     except ValueError as exc:
         raise EdgeListFormatError(f"non-integer header {lines[0]!r}") from exc
+    # The graph6 limit, so both formats accept the same orders; checked before
+    # any vertex is built.
+    if n > _GRAPH6_MAX_N:
+        raise EdgeListFormatError(f"graph order {n} exceeds the graph6 limit of {_GRAPH6_MAX_N}")
     if len(lines) - 1 != m:
         raise EdgeListFormatError(f"expected {m} edge lines, found {len(lines) - 1}")
     edges = []
@@ -340,7 +331,7 @@ def is_connected(graph: Graph) -> bool:
     """One BFS from vertex 0 reaches everything; the empty graph is not connected."""
     if graph.n == 0:
         return False
-    return len(bfs_layers(graph, 0).covered()) == graph.n
+    return sum(map(len, bfs_layers(graph, 0).layers)) == graph.n
 
 
 # ---------------------------------------------------------------------------

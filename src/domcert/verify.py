@@ -165,33 +165,21 @@ def _suite_ckshep(seed: int, corpus: _BatteryCorpus) -> str:
     )
 
 
-def _check_soundness(graphs: Sequence[Graph], k: int, ell: int, m: int) -> None:
-    cap = theorem_bound(k, ell, m)
-    for graph in graphs:
-        dominating, report = construct_dominating_set(graph, k=k, ell=ell, m=m)
-        if not is_dominating(graph, dominating):
-            raise _Failed(f"output fails to dominate {to_graph6(graph)}")
-        if len(dominating) > cap or not report.bound_held:
-            raise _Failed(f"bound {cap} violated on {to_graph6(graph)}")
-        if gamma_exact(graph).gamma > len(dominating):
-            raise _Failed(f"gamma exceeds |D| on {to_graph6(graph)}")
-
-
 def _suite_soundness(seed: int, corpus: _BatteryCorpus) -> str:
-    corpus_a = sample_free_connected(
-        SAMPLE_COUNT,
-        THEOREM_A_CONFIGS,
-        [gen_k_star(3), gen_s_star(2), gen_path(5)],
-        _salt(seed, 5),
-    )
-    _check_soundness(corpus_a, 3, 2, 5)
-    corpus_b = sample_free_connected(
-        SAMPLE_COUNT,
-        THEOREM_B_CONFIGS,
-        [gen_k_star(3), gen_s_star(3), gen_path(6)],
-        _salt(seed, 6),
-    )
-    _check_soundness(corpus_b, 3, 3, 6)
+    for configs, (k, ell, m), tag in (
+        (THEOREM_A_CONFIGS, (3, 2, 5), 5),
+        (THEOREM_B_CONFIGS, (3, 3, 6), 6),
+    ):
+        patterns = [gen_k_star(k), gen_s_star(ell), gen_path(m)]
+        cap = theorem_bound(k, ell, m)
+        for graph in sample_free_connected(SAMPLE_COUNT, configs, patterns, _salt(seed, tag)):
+            dominating, report = construct_dominating_set(graph, k=k, ell=ell, m=m)
+            if not is_dominating(graph, dominating):
+                raise _Failed(f"output fails to dominate {to_graph6(graph)}")
+            if len(dominating) > cap or not report.bound_held:
+                raise _Failed(f"bound {cap} violated on {to_graph6(graph)}")
+            if gamma_exact(graph).gamma > len(dominating):
+                raise _Failed(f"gamma exceeds |D| on {to_graph6(graph)}")
     return (
         f"construction dominates within theorem_bound on {2 * SAMPLE_COUNT} "
         "sampled free graphs (two parameter triples)"
@@ -297,10 +285,8 @@ def _suite_bound_table(seed: int, corpus: _BatteryCorpus) -> str:
 
 def _oracle_hosts(seed: int, corpus: _BatteryCorpus) -> list[Graph]:
     hosts = corpus(6)
-    by_n: dict[int, list[Graph]] = {}
-    for g in corpus():
-        by_n.setdefault(g.n, []).append(g)
-    hosts += by_n.get(7, [])[:20] + by_n.get(8, [])[:10]
+    hosts += [g for g in corpus(7) if g.n == 7][:20]
+    hosts += [g for g in corpus() if g.n == 8][:10]
     rng = random.Random(_salt(seed, 99))
     added = 0
     while added < 5:

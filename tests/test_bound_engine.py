@@ -10,6 +10,7 @@ from hypothesis import example, given, strategies as st
 
 from conftest import connected_graphs, graphs
 from domcert.bound_engine import (
+    _pigeonhole,
     construct_dominating_set,
     dominate_layer,
     extract_forbidden_witness,
@@ -20,7 +21,7 @@ from domcert.bound_engine import (
     theorem_bound,
 )
 from domcert.domination import gamma_exact, is_dominating, is_independent
-from domcert.errors import DisconnectedGraphError, PreconditionError
+from domcert.errors import DisconnectedGraphError, PreconditionError, WitnessContradictionError
 from domcert.graph_core import (
     bfs_layers,
     closed_neighborhood,
@@ -312,6 +313,13 @@ class TestFamilyIdentities:
 
 
 class TestWitnessExtraction:
+    def test_pigeonhole_lowest_centre_or_contradiction(self):
+        s3 = gen_s_star(3)  # centre 0, middles 1..3, tips 4..6
+        assert _pigeonhole(s3, [2, 0], [1, 2, 3], 3, "ell members") == (0, [1, 2, 3])
+        # Each tip sees one middle, short of two; the message names the target.
+        with pytest.raises(WitnessContradictionError, match="reaches the Ramsey threshold"):
+            _pigeonhole(s3, [4, 5], [1, 2, 3], 2, "the Ramsey threshold")
+
     def test_spider_golden_embedding(self):
         s3 = gen_s_star(3)
         witness = extract_forbidden_witness(s3, bfs_layers(s3, 0), 2, 3, 2)

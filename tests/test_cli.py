@@ -208,6 +208,18 @@ class TestLeq:
         err = run_error(["leq", "--first", "wheel:4", "--second", "path:3"], capsys)
         assert "unknown family" in err
 
+    def test_bad_size(self, capsys):
+        err = run_error(["leq", "--first", "kstar:x", "--second", "path:3"], capsys)
+        assert "bad size in token 'kstar:x'" in err
+
+    def test_no_families(self, capsys):
+        err = run_error(["leq", "--first", " , ,", "--second", "path:3"], capsys)
+        assert "no families given in ' , ,'" in err
+
+    def test_empty_tokens_skipped(self, capsys):
+        argv = ["leq", "--first", ",kstar:2,, sstar:2,", "--second", "path:5"]
+        assert run_json(argv, capsys)["result"]["holds"] is True
+
 
 class TestBounds:
     def test_single_layer(self, capsys):
@@ -231,6 +243,11 @@ class TestBounds:
         err = run_error(["bounds", "--k", "2", "--l", "2", "--i", "2", "--m", "5"], capsys)
         assert "exactly one" in err
         run_error(["bounds", "--k", "2", "--l", "2"], capsys)
+
+    def test_non_positive_k_gets_the_handlers_error(self, capsys):
+        # The budget check leaves k < 1 to ramsey_upper, which names both arguments.
+        err = run_error(["bounds", "--k", "0", "--l", "2", "--i", "2"], capsys)
+        assert "Ramsey arguments must be positive, got (0,2)" in err
 
     def test_missing_l_is_an_argparse_error(self, capsys):
         with pytest.raises(SystemExit) as exit_info:
@@ -353,6 +370,13 @@ class TestInputBudgets:
         # The size header alone declares 258047 vertices.
         err = run_error(["gamma", "--graph6", "~}~~"], capsys)
         assert f"258047 vertices, above the limit of {MAX_VERTICES}" in err
+
+    def test_edge_list_order_past_graph6_limit(self, tmp_path, capsys):
+        # Refused from the header, before any vertex is built.
+        path = tmp_path / "huge.txt"
+        path.write_text("100000000000 0\n")
+        err = run_error(["gamma", "--input", str(path), "--format", "edgelist"], capsys)
+        assert "graph order 100000000000 exceeds the graph6 limit of 258047" in err
 
     def test_vertex_limit(self, tmp_path, capsys):
         report = run_json(["gamma", "--graph6", to_graph6(gen_empty(MAX_VERTICES))], capsys)

@@ -306,5 +306,5 @@ class TestSampling:
         # A single vertex is an induced subgraph of everything, so no draw can
         # ever be accepted and the attempt cap must fire.
         impossible = [gen_path(1)]
-        with pytest.raises(RuntimeError, match="stalled"):
-            sample_free_connected(1, [(4, 0.5)], impossible, seed=3, max_attempts=25)
+        with pytest.raises(RuntimeError, match="stalled: 0/1 accepted in 4000 draws"):
+            sample_free_connected(1, [(4, 0.5)], impossible, seed=3)

@@ -151,6 +151,14 @@ class TestGraphType:
         with pytest.raises(GraphConstructionError, match="does not match"):
             Graph(2, (frozenset(),))
 
+    def test_rejects_negative_order(self):
+        with pytest.raises(GraphConstructionError, match="negative vertex count -1"):
+            Graph(-1, ())
+
+    def test_relabel_rejects_repeated_vertex(self):
+        with pytest.raises(GraphConstructionError, match="not a permutation"):
+            gen_path(3).relabel([0, 0, 1])
+
     def test_induced_relabels_sorted(self):
         p4 = gen_path(4)
         sub = p4.induced([1, 3, 2])
@@ -159,7 +167,7 @@ class TestGraphType:
 
     def test_masks_mirror_adjacency(self):
         g = gen_k_star(3)
-        assert g.masks == tuple(sum(1 << u for u in g.adj[v]) for v in g.vertices)
+        assert g.masks == tuple(sum(1 << u for u in g.adj[v]) for v in range(g.n))
         assert g.masks[0] == 0b1110  # clique partners 1, 2 and pendant 3
 
     def test_masks_do_not_affect_equality(self):
@@ -178,6 +186,10 @@ class TestFromEdgeList:
     def test_single_edge(self):
         g = from_edge_list(2, [(0, 1)])
         assert g.edges() == [(0, 1)]
+
+    def test_rejects_negative_order(self):
+        with pytest.raises(GraphConstructionError, match="negative vertex count -1"):
+            from_edge_list(-1, [])
 
     def test_path_three(self):
         g = from_edge_list(3, [(0, 1), (1, 2)])
@@ -242,6 +254,11 @@ class TestGraph6:
         g = parse_graph6("~}~~")
         assert g.n == 258047 and g.edge_count() == 0
 
+    def test_encoder_refuses_order_past_graph6_range(self):
+        # Refused from the order alone: the body would take n(n-1)/2 bits.
+        with pytest.raises(Graph6FormatError, match="258048 exceeds supported graph6 range"):
+            to_graph6(gen_empty(258048))
+
     def test_large_order_size_field(self):
         g = gen_path(100)
         s = to_graph6(g)
@@ -301,6 +318,27 @@ class TestEdgeListFormat:
     def test_construction_error_wrapped(self):
         with pytest.raises(EdgeListFormatError, match="duplicate"):
             parse_edge_list("3 2\n0 1\n1 0\n")
+
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("", "empty edge-list input"),
+            ("# a comment only\n", "empty edge-list input"),
+            ("x 0\n", "non-integer header 'x 0'"),
+            ("2 1\n0 1 1\n", "edge line must be 'u v', got '0 1 1'"),
+        ],
+    )
+    def test_malformed(self, text, message):
+        with pytest.raises(EdgeListFormatError, match=message):
+            parse_edge_list(text)
+
+    def test_order_past_graph6_limit_refused(self):
+        with pytest.raises(EdgeListFormatError, match="258048 exceeds the graph6 limit of 258047"):
+            parse_edge_list("258048 0\n")
+
+    def test_largest_graph6_order_parsed(self):
+        g = parse_edge_list("258047 0\n")
+        assert g.n == 258047 and g.edge_count() == 0
 
     @given(graphs(max_n=7))
     def test_roundtrip(self, g):

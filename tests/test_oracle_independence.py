@@ -10,6 +10,7 @@ from __future__ import annotations
 import pytest
 
 from domcert.bound_engine import (
+    _pigeonhole,
     _stage_x0,
     _u_overflow_witness,
     extract_forbidden_witness,
@@ -51,6 +52,7 @@ KERNELS = [
     contains_induced,
     _refine,
     _stage_x0,
+    _pigeonhole,
     _u_overflow_witness,
     extract_forbidden_witness,
     _automorphism_test,

@@ -11,6 +11,7 @@ from conftest import count_corpus_parses
 from domcert import verify
 from domcert.cli import main
 from domcert.corpus import EXPECTED_CONNECTED_COUNTS
+from domcert.errors import DomcertError
 from domcert.verify import SUITE_NAMES, CriterionResult, run_suite, run_suites
 
 CORPUS_SIZE = sum(EXPECTED_CONNECTED_COUNTS.values())
@@ -43,6 +44,11 @@ def test_shared_corpus_is_not_grown_by_a_suite(loads):
     assert second == first
     assert roundtrip.detail.startswith(f"{CORPUS_SIZE} corpus graphs round-trip")
     assert len(loads) == 1
+
+
+def test_unknown_suite_name():
+    with pytest.raises(DomcertError, match="unknown suite 'nope'; choose from paths, "):
+        run_suite("nope")
 
 
 def test_suite_alone_parses_corpus_itself(loads):
