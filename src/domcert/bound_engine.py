@@ -160,26 +160,21 @@ def ramsey_witness(
 # Layer construction
 # ---------------------------------------------------------------------------
 
-def _stages_x_u(graph: Graph, layers: LayerDecomposition, i: int) -> tuple[frozenset[int], ...]:
-    """Layer i with its stages X and U; see dominate_layer."""
+def _layer_stages(graph: Graph, layers: LayerDecomposition, i: int) -> tuple[frozenset[int], ...]:
+    """Layer i's stages X and U, the residual of the layer that U misses, and
+    stage X0 dominating that residual; see dominate_layer."""
     if i < 2:
         raise PreconditionError(f"layer stages require i >= 2, got {i}")
     target = layers.layer(i)
     if not target:
         raise PreconditionError(f"layer {i} is empty")
     x_set = maximal_independent_subset(graph, target)
-    return target, x_set, minimal_dominating_subset(graph, layers.layer(i - 1), x_set)
-
-
-def _stage_x0(
-    graph: Graph, target: frozenset[int], x_set: frozenset[int], u_set: frozenset[int]
-) -> tuple[frozenset[int], frozenset[int]]:
-    """The residual of layer i that U misses, and stage X0 dominating it; see dominate_layer."""
+    u_set = minimal_dominating_subset(graph, layers.layer(i - 1), x_set)
     covered = sum(1 << u for u in u_set)
     for u in u_set:
         covered |= graph.masks[u]
     residual = frozenset(_members(sum(1 << v for v in target) & ~covered))
-    return residual, minimal_dominating_subset(graph, x_set, residual)
+    return x_set, u_set, residual, minimal_dominating_subset(graph, x_set, residual)
 
 
 def dominate_layer(graph: Graph, layers: LayerDecomposition, i: int) -> frozenset[int]:
@@ -190,8 +185,7 @@ def dominate_layer(graph: Graph, layers: LayerDecomposition, i: int) -> frozense
     U united with X0 dominates all of layer i unconditionally; its size obeys
     f(k, ell, i) whenever the graph is {K*_k, S*_ell}-free.
     """
-    target, x_set, u_set = _stages_x_u(graph, layers, i)
-    _, x0_set = _stage_x0(graph, target, x_set, u_set)
+    _, u_set, _, x0_set = _layer_stages(graph, layers, i)
     return frozenset(u_set | x0_set)
 
 
@@ -403,12 +397,11 @@ def extract_forbidden_witness(
     """
     if k < 1 or ell < 1:
         raise PreconditionError(f"k and ell must be positive, got ({k},{ell})")
-    target, x_set, u_set = _stages_x_u(graph, layers, i)
+    x_set, u_set, residual, x0_set = _layer_stages(graph, layers, i)
     witness = _u_overflow_witness(graph, layers, i, k, ell, x_set, u_set)
     if witness is not None:
         return witness
 
-    residual, x0_set = _stage_x0(graph, target, x_set, u_set)
     if len(x0_set) <= (ramsey_upper(k, ell).bound - 1) * g_value(k, ell, i):
         return None
 

@@ -6,8 +6,8 @@ graph6 string so a report alone identifies the instance up to isomorphism.
 
 `main` may be called many times in one process: it builds one parser per
 process, on the first call, and looks each handler up by command name. A
-handler returns the report body and exit status; `main` alone puts the
-"command" key first and writes the report.
+handler returns the report body and exit status; `main` alone loads the input
+graph, puts the "command" and "input" keys first and writes the report.
 """
 
 from __future__ import annotations
@@ -96,7 +96,7 @@ def _load_graph(args: argparse.Namespace) -> tuple[Graph, dict]:
         try:
             with open(args.input) as handle:
                 text = handle.read()
-        except OSError as exc:
+        except (OSError, UnicodeDecodeError) as exc:
             raise UsageError(f"cannot read {args.input}: {exc}") from exc
     if args.format == "graph6":
         lines = [line for line in text.splitlines() if line.strip()] or [text]
@@ -165,7 +165,9 @@ def _parse_family_list(text: str) -> list[Graph]:
 
 
 # ---------------------------------------------------------------------------
-# Command handlers: each returns (report body, exit status); main adds "command"
+# Command handlers: each takes the graph that main loaded (None for commands
+# without graph options) and returns (report body, exit status); main alone
+# loads the input and writes "command" and "input"
 # ---------------------------------------------------------------------------
 
 def _check_bound_budget(args, flags: tuple[str, ...], top: int) -> None:
@@ -184,18 +186,15 @@ def _check_bound_budget(args, flags: tuple[str, ...], top: int) -> None:
             raise UsageError(f"f({args.k},{args.l},{i}) has more than {MAX_BOUND_BITS} bits")
 
 
-def _cmd_gamma(args) -> tuple[dict, int]:
-    graph, descriptor = _load_graph(args)
+def _cmd_gamma(args, graph: Graph) -> tuple[dict, int]:
     result = gamma_exact(graph, node_budget=GAMMA_NODE_BUDGET)
     return {
-        "input": descriptor,
         "parameters": {},
         "result": {"gamma": result.gamma, "witness": sorted(result.witness)},
     }, 0
 
 
-def _cmd_free(args) -> tuple[dict, int]:
-    graph, descriptor = _load_graph(args)
+def _cmd_free(args, graph: Graph) -> tuple[dict, int]:
     k, ell, m = args.k, args.l, args.m
     if k is None and ell is None and m is None:
         raise UsageError("free needs at least one of --k, --l, --m")
@@ -215,7 +214,7 @@ def _cmd_free(args) -> tuple[dict, int]:
         result["violated_family"] = name
         result["violated_size"] = size
         result["embedding"] = list(outcome.embedding.mapping)
-    return {"input": descriptor, "parameters": {"k": k, "l": ell, "m": m}, "result": result}, 0
+    return {"parameters": {"k": k, "l": ell, "m": m}, "result": result}, 0
 
 
 def _report_bound(bound: BoundReport) -> dict:
@@ -223,8 +222,7 @@ def _report_bound(bound: BoundReport) -> dict:
     return {("l" if name == "ell" else name): value for name, value in vars(bound).items()}
 
 
-def _cmd_dominate(args) -> tuple[dict, int]:
-    graph, descriptor = _load_graph(args)
+def _cmd_dominate(args, graph: Graph) -> tuple[dict, int]:
     k, ell, m = args.k, args.l, args.m
     root = args.root
     # An empty or disconnected graph, or a partial k/l/m, gets the construction's own error.
@@ -240,7 +238,6 @@ def _cmd_dominate(args) -> tuple[dict, int]:
         verify_freeness=args.verify_freeness,
     )
     return {
-        "input": descriptor,
         "parameters": {
             "root": args.root,
             "k": k,
@@ -257,8 +254,7 @@ def _cmd_dominate(args) -> tuple[dict, int]:
     }, 0
 
 
-def _cmd_witness(args) -> tuple[dict, int]:
-    graph, descriptor = _load_graph(args)
+def _cmd_witness(args, graph: Graph) -> tuple[dict, int]:
     root = args.root if args.root is not None else min_eccentricity_vertex(graph)
     layers = bfs_layers(graph, root)
     _check_bound_budget(args, ("k", "l", "layer"), args.layer)
@@ -273,25 +269,23 @@ def _cmd_witness(args) -> tuple[dict, int]:
             }
         )
     return {
-        "input": descriptor,
         "parameters": {"root": root, "layer": args.layer, "k": args.k, "l": args.l},
         "result": {"found": witness is not None},
         "witnesses": witnesses,
     }, 0
 
 
-def _cmd_leq(args) -> tuple[dict, int]:
+def _cmd_leq(args, graph: None) -> tuple[dict, int]:
     first = _parse_family_list(args.first)
     second = _parse_family_list(args.second)
     holds = leq_relation(first, second)
     return {
-        "input": None,
         "parameters": {"first": args.first, "second": args.second},
         "result": {"holds": holds},
     }, 0
 
 
-def _cmd_bounds(args) -> tuple[dict, int]:
+def _cmd_bounds(args, graph: None) -> tuple[dict, int]:
     if (args.i is None) == (args.m is None):
         raise UsageError("bounds needs exactly one of --i or --m")
     _check_bound_budget(args, ("k", "l", "i", "m"), args.i if args.i is not None else args.m - 2)
@@ -316,19 +310,18 @@ def _cmd_bounds(args) -> tuple[dict, int]:
             "rows": rows,
         }
         parameters = {"k": args.k, "l": args.l, "i": None, "m": args.m}
-    return {"input": None, "parameters": parameters, "result": result}, 0
+    return {"parameters": parameters, "result": result}, 0
 
 
-def _cmd_gen(args) -> tuple[dict, int]:
-    graph = _make_family(args.family, args.size)
+def _cmd_gen(args, graph: None) -> tuple[dict, int]:
+    generated = _make_family(args.family, args.size)
     return {
-        "input": None,
         "parameters": {"family": args.family, "size": args.size},
-        "result": {"n": graph.n, "graph6": to_graph6(graph)},
+        "result": {"n": generated.n, "graph6": to_graph6(generated)},
     }, 0
 
 
-def _cmd_verify(args) -> tuple[dict, int]:
+def _cmd_verify(args, graph: None) -> tuple[dict, int]:
     names = args.suite if args.suite else None
     try:
         results = run_suites(names, seed=args.seed)
@@ -336,7 +329,6 @@ def _cmd_verify(args) -> tuple[dict, int]:
         raise UsageError(f"fixture corpus missing: {exc}") from exc
     failed = [r.name for r in results if not r.passed]
     return {
-        "input": None,
         "parameters": {
             "suites": list(names) if names else list(SUITE_NAMES),
             "seed": args.seed,
@@ -406,15 +398,6 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _emit(report: dict, output: Optional[str]) -> None:
-    text = json.dumps(report, indent=2) + "\n"
-    if output is None:
-        sys.stdout.write(text)
-    else:
-        with open(output, "w") as handle:
-            handle.write(text)
-
-
 @functools.cache
 def _parser() -> argparse.ArgumentParser:
     """The parser of this process, built by the first `main` call."""
@@ -424,8 +407,18 @@ def _parser() -> argparse.ArgumentParser:
 def main(argv: Optional[list[str]] = None) -> int:
     args = _parser().parse_args(argv)
     try:
-        body, status = globals()[f"_cmd_{args.command}"](args)
-        _emit({"command": args.command, **body}, args.output)
+        for name, value in vars(args).items():
+            # argparse parses `--opt=--` to [], and to [[]] under action="append".
+            if isinstance(value, list) and [] in [value, *value]:
+                raise UsageError(f"--{name} needs a value")
+        graph, descriptor = _load_graph(args) if "graph6" in args else (None, None)
+        body, status = globals()[f"_cmd_{args.command}"](args, graph)
+        text = json.dumps({"command": args.command, "input": descriptor, **body}, indent=2) + "\n"
+        if args.output is None:
+            sys.stdout.write(text)
+        else:
+            with open(args.output, "w") as handle:
+                handle.write(text)
     except (DomcertError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -83,7 +83,7 @@ class Graph:
     def relabel(self, order: Sequence[int]) -> "Graph":
         """Graph with vertex order[i] renamed to i; order must be a permutation."""
         index = {v: i for i, v in enumerate(order)}
-        if len(index) != self.n:
+        if len(order) != self.n or index.keys() != set(range(self.n)):
             raise GraphConstructionError("relabel order is not a permutation")
         adj = [frozenset()] * self.n
         for v, i in index.items():

@@ -10,7 +10,7 @@ import sys
 
 import pytest
 from conftest import graphs
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 import domcert
 from domcert import cli
@@ -298,6 +298,21 @@ class TestReportLayout:
         report = run_json(argv, capsys)
         assert list(report) == ["command", "input", "parameters"] + keys
         assert report["command"] == argv[0]
+        if argv[0] in ("leq", "bounds", "gen", "verify"):
+            assert report["input"] is None
+        else:
+            assert "n" in report["input"]
+
+    @pytest.mark.parametrize("name", sorted(n for n in vars(cli) if n.startswith("_cmd_")))
+    def test_handlers_leave_the_envelope_to_main(self, name):
+        # main alone loads the input graph and writes the "input" key. A dict
+        # display with constant keys stores them as one tuple constant.
+        codes = [getattr(cli, name).__code__]
+        for code in codes:
+            consts = [c for t in code.co_consts for c in (t if isinstance(t, tuple) else (t,))]
+            assert "_load_graph" not in code.co_names
+            assert "input" not in consts
+            codes.extend(c for c in consts if hasattr(c, "co_consts"))
 
     def test_bound_report_key_order(self, capsys):
         argv = ["dominate", "--graph6", to_graph6(gen_path(6)), "--k", "3", "--l", "2",
@@ -417,7 +432,7 @@ class TestInputBudgets:
 
     @pytest.mark.parametrize("error", [RecursionError, MemoryError])
     def test_resource_errors_exit_two(self, error, monkeypatch, capsys):
-        def exhausted(args):
+        def exhausted(args, graph):
             raise error("exhausted")
 
         monkeypatch.setattr(cli, "_cmd_gamma", exhausted)
@@ -466,9 +481,34 @@ class TestInputBudgets:
         ),
         st.sampled_from([["gamma"], ["free", "--m", "4"]]),
     )
+    @example(text="--", command=["gamma"])
     def test_short_graph6_strings(self, text, command):
         # The --graph6=... form passes strings that start with '-' to the parser as values.
         assert main(command + [f"--graph6={text}"]) in (0, 2)
+
+    @pytest.mark.parametrize(
+        "argv, flag",
+        [
+            (["gamma", "--graph6=--"], "graph6"),
+            (["free", "--m", "4", "--graph6=--"], "graph6"),
+            (["leq", "--first=--", "--second", "path:3"], "first"),
+            (["dominate", "--root=--", "--graph6", "A_"], "root"),
+            (["bounds", "--k=--", "--l", "2", "--i", "2"], "k"),
+            (["gen", "--family", "path", "--size=--"], "size"),
+            (["verify", "--suite=--"], "suite"),
+        ],
+        ids=["gamma", "free", "leq", "dominate", "bounds", "gen", "verify"],
+    )
+    def test_double_dash_value(self, argv, flag, capsys):
+        # argparse parses `--opt=--` to an empty list, which no option accepts.
+        assert f"--{flag} needs a value" in run_error(argv, capsys)
+
+    @pytest.mark.parametrize("fmt", ["graph6", "edgelist"])
+    def test_undecodable_input_file(self, fmt, tmp_path, capsys):
+        path = tmp_path / "graph.txt"
+        path.write_bytes(b"\xff\xfe\x00A_")
+        err = run_error(["gamma", "--input", str(path), "--format", fmt], capsys)
+        assert f"cannot read {path}" in err
 
 
 def run_python(args):

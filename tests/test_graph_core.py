@@ -159,6 +159,21 @@ class TestGraphType:
         with pytest.raises(GraphConstructionError, match="not a permutation"):
             gen_path(3).relabel([0, 0, 1])
 
+    @pytest.mark.parametrize(
+        "graph, order",
+        [
+            (gen_empty(3), [0, 1, -1]),
+            (gen_path(3), [0, 1, -1]),
+            (gen_empty(3), [0, 1, 5]),
+            (gen_path(3), [0, 1, 5]),
+            (gen_path(2), [0, 1, 1]),
+        ],
+        ids=["empty-negative", "path-negative", "empty-too-large", "path-too-large", "too-long"],
+    )
+    def test_relabel_rejects_vertex_outside_range(self, graph, order):
+        with pytest.raises(GraphConstructionError, match="not a permutation"):
+            graph.relabel(order)
+
     def test_induced_relabels_sorted(self):
         p4 = gen_path(4)
         sub = p4.induced([1, 3, 2])

@@ -10,8 +10,8 @@ from __future__ import annotations
 import pytest
 
 from domcert.bound_engine import (
+    _layer_stages,
     _pigeonhole,
-    _stage_x0,
     _u_overflow_witness,
     extract_forbidden_witness,
     ramsey_witness,
@@ -51,7 +51,7 @@ KERNELS = [
     independence_number,
     contains_induced,
     _refine,
-    _stage_x0,
+    _layer_stages,
     _pigeonhole,
     _u_overflow_witness,
     extract_forbidden_witness,
