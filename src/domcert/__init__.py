@@ -68,7 +68,6 @@ from .graph_core import (
     min_eccentricity_vertex,
     parse_edge_list,
     parse_graph6,
-    to_edge_list,
     to_graph6,
 )
 from .subgraph import (
@@ -139,7 +138,6 @@ __all__ = [
     "ramsey_witness",
     "sample_free_connected",
     "theorem_bound",
-    "to_edge_list",
     "to_graph6",
     "verify_embedding",
 ]

@@ -1,9 +1,12 @@
 """Graph corpora: exhaustive small-graph enumeration and seeded random sampling.
 
 The connected graphs on up to 8 vertices (one representative per isomorphism
-class) ship as a packaged graph6 fixture. ``write_fixture`` regenerates it from
-scratch (README gives the one-line command); the enumeration is independent of
-the shipped file, so the test suite can cross-check counts.
+class) ship as a packaged graph6 fixture. The corpus is one list sorted by
+vertex count, the same from the enumeration through the file to the parsed
+graphs; a ``verify`` battery parses it once and shares that list among its
+suites. ``write_fixture`` regenerates the file from scratch (README gives the
+one-line command); the enumeration is independent of the shipped file, so the
+test suite can cross-check it.
 
 Isomorph rejection uses a canonical labeling: equitable refinement on the
 popcounts of neighbourhood masks ANDed with cell masks, then individualization,
@@ -13,6 +16,7 @@ skipping the children that an automorphism maps onto an explored sibling.
 from __future__ import annotations
 
 import random
+from collections import Counter
 from importlib import resources
 from typing import Iterable, Iterator, Optional, Sequence
 
@@ -145,28 +149,30 @@ def _automorphism_test(masks, cells: list[tuple[int, ...]]):
 # Exhaustive enumeration
 # ---------------------------------------------------------------------------
 
-def enumerate_connected_graphs(max_n: int) -> dict[int, list[Graph]]:
+def enumerate_connected_graphs(max_n: int) -> list[Graph]:
     """All connected graphs with 1..max_n vertices, one per isomorphism class.
 
     Augmentation: every connected graph on n vertices is some connected graph
     on n-1 vertices plus a new vertex joined to a nonempty subset (delete any
     non-cut vertex, e.g. a spanning-tree leaf, to see this). Children are
     deduplicated by canonical label and returned canonically labeled, sorted
-    by their graph6 string.
+    by vertex count and then by graph6 string: the order of the fixture file.
     """
     if max_n < 1:
-        return {}
-    result: dict[int, list[Graph]] = {1: [Graph(1, (frozenset(),))]}
+        return []
+    level = [Graph(1, (frozenset(),))]
+    result = list(level)
     for n in range(2, max_n + 1):
         seen: set[str] = set()
-        for parent in result[n - 1]:
+        for parent in level:
             base_edges = parent.edges()
             for mask in range(1, 1 << (n - 1)):
                 edges = base_edges + [
                     (i, n - 1) for i in range(n - 1) if mask >> i & 1
                 ]
                 seen.add(canonical_graph6(from_edge_list(n, edges)))
-        result[n] = [parse_graph6(key) for key in sorted(seen)]
+        level = [parse_graph6(key) for key in sorted(seen)]
+        result += level
     return result
 
 
@@ -196,36 +202,30 @@ def fixture_path():
     return resources.files("domcert").joinpath("data").joinpath(CORPUS_FILE)
 
 
-def load_fixture_corpus() -> dict[int, list[Graph]]:
-    """Parse the packaged corpus, grouped by vertex count.
+def load_fixture_corpus() -> list[Graph]:
+    """Parse the packaged corpus, in file order: sorted by vertex count.
 
     Equal neighbourhoods are one shared frozenset, through a bitmask-keyed
     table local to this call: with n <= 8 there are at most 256 of them, so the
     parsed corpus holds a few hundred sets instead of one per vertex.
     """
-    grouped: dict[int, list[Graph]] = {}
     shared = _Neighbourhoods()
-    for line in fixture_path().read_text().splitlines():
-        line = line.strip()
-        if line:
-            graph = _parse_graph6(line, shared)
-            grouped.setdefault(graph.n, []).append(graph)
-    return grouped
+    lines = fixture_path().read_text().splitlines()
+    return [_parse_graph6(line, shared) for line in lines if line.strip()]
 
 
 def corpus_graphs(max_n: int = CORPUS_MAX_N) -> list[Graph]:
-    """Flat list of the fixture graphs with at most max_n vertices."""
-    grouped = load_fixture_corpus()
-    return [g for n in sorted(grouped) if n <= max_n for g in grouped[n]]
+    """The fixture graphs with at most max_n vertices, in file order."""
+    return [g for g in load_fixture_corpus() if g.n <= max_n]
 
 
 def write_fixture(path, max_n: int = CORPUS_MAX_N) -> dict[int, int]:
-    """Regenerate the corpus file; returns the per-size counts written."""
-    grouped = enumerate_connected_graphs(max_n)
-    lines = [to_graph6(g) for n in sorted(grouped) for g in grouped[n]]
+    """Regenerate the corpus file; returns the per-size counts written, by
+    ascending vertex count."""
+    graphs = enumerate_connected_graphs(max_n)
     with open(path, "w") as handle:
-        handle.write("\n".join(lines) + "\n")
-    return {n: len(graphs) for n, graphs in grouped.items()}
+        handle.write("\n".join(map(to_graph6, graphs)) + "\n")
+    return dict(Counter(g.n for g in graphs))
 
 
 # ---------------------------------------------------------------------------

@@ -16,7 +16,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable, Sequence
+from typing import Iterable, Optional, Sequence
 
 from .errors import (
     DisconnectedGraphError,
@@ -76,6 +76,8 @@ class Graph:
     def induced(self, vertices: Iterable[int]) -> "Graph":
         """Induced subgraph on the given vertices, relabeled 0..k-1 in sorted order."""
         order = sorted(set(vertices))
+        if order and not (0 <= order[0] and order[-1] < self.n):
+            raise GraphConstructionError(f"induced vertex set leaves [0,{self.n})")
         index = {v: i for i, v in enumerate(order)}
         adj = [frozenset(index[w] for w in self.adj[v] if w in index) for v in order]
         return Graph(len(order), tuple(adj))
@@ -95,7 +97,6 @@ class Graph:
 class LayerDecomposition:
     """BFS layers from a root: layers[i] holds the vertices at distance exactly i."""
 
-    root: int
     layers: tuple[frozenset[int], ...]
 
     def layer(self, i: int) -> frozenset[int]:
@@ -114,17 +115,21 @@ def from_edge_list(n: int, edges: Iterable[tuple[int, int]]) -> Graph:
     """Build a graph from explicit edges, rejecting loops and duplicates."""
     if n < 0:
         raise GraphConstructionError(f"negative vertex count {n}")
-    adj: list[set[int]] = [set() for _ in range(n)]
+    # A vertex gets its set at its first edge, so no set here is empty; the
+    # untouched vertices share one empty neighbourhood, a pointer each.
+    adj: list[Optional[set[int]]] = [None] * n
     for u, v in edges:
         if not (0 <= u < n and 0 <= v < n):
             raise GraphConstructionError(f"edge ({u},{v}) has an id outside [0,{n})")
         if u == v:
             raise GraphConstructionError(f"loop edge ({u},{v})")
+        adj[u], adj[v] = adj[u] or set(), adj[v] or set()
         if v in adj[u]:
             raise GraphConstructionError(f"duplicate edge ({u},{v})")
         adj[u].add(v)
         adj[v].add(u)
-    return Graph(n, tuple(frozenset(s) for s in adj))
+    empty: frozenset[int] = frozenset()
+    return Graph(n, tuple(frozenset(s) if s else empty for s in adj))
 
 
 # ---------------------------------------------------------------------------
@@ -261,14 +266,6 @@ def parse_edge_list(text: str) -> Graph:
         raise EdgeListFormatError(str(exc)) from exc
 
 
-def to_edge_list(graph: Graph) -> str:
-    """Serialize a graph in the edge-list text format."""
-    edges = graph.edges()
-    lines = [f"{graph.n} {len(edges)}"]
-    lines.extend(f"{u} {v}" for u, v in edges)
-    return "\n".join(lines) + "\n"
-
-
 # ---------------------------------------------------------------------------
 # Neighborhoods and BFS
 # ---------------------------------------------------------------------------
@@ -310,7 +307,7 @@ def bfs_layers(graph: Graph, root: int) -> LayerDecomposition:
             reach |= masks[v]
         frontier = reach & ~seen
         if not frontier:
-            return LayerDecomposition(root, tuple(layers))
+            return LayerDecomposition(tuple(layers))
         layers.append(frozenset(_members(frontier)))
         seen |= frontier
 

@@ -13,12 +13,14 @@ A suite returns its pass detail, or raises _Failed at its first failing check;
 run_suite alone turns either into a CriterionResult named by the suite's key.
 
 A battery (one ``run_suites`` call) parses the packaged corpus at most once,
-on the first suite that reads it, and shares it among its suites; it is
-released when the battery returns.
+on the first suite that reads it, and shares that one list, in file order,
+among its suites, which filter it by vertex count themselves and never change
+it; it is released when the battery returns.
 """
 
 from __future__ import annotations
 
+import functools
 import random
 import time
 from dataclasses import dataclass
@@ -33,7 +35,6 @@ from .bound_engine import (
     theorem_bound,
 )
 from .corpus import (
-    CORPUS_MAX_N,
     all_labeled_graphs,
     erdos_renyi,
     load_fixture_corpus,
@@ -83,20 +84,9 @@ class _Failed(Exception):
     """A suite's first failing check, its message the detail; caught only by run_suite."""
 
 
-class _BatteryCorpus:
-    """The packaged corpus for one battery: parsed on the first read, then kept.
-
-    Calling it returns the graphs with at most max_n vertices, in fixture
-    order, as a fresh list that the caller may extend.
-    """
-
-    def __init__(self) -> None:
-        self._grouped: Optional[dict[int, list[Graph]]] = None
-
-    def __call__(self, max_n: int = CORPUS_MAX_N) -> list[Graph]:
-        if self._grouped is None:
-            self._grouped = load_fixture_corpus()
-        return [g for n in sorted(self._grouped) if n <= max_n for g in self._grouped[n]]
+# The packaged corpus for one battery: parsed on the first call, then the same
+# list on every call, which no suite may change.
+_Corpus = Callable[[], list[Graph]]
 
 
 def claw_graph() -> Graph:
@@ -112,7 +102,7 @@ def ceil_div(a: int, b: int) -> int:
     return -(-a // b)
 
 
-def _suite_paths(seed: int, corpus: _BatteryCorpus) -> str:
+def _suite_paths(seed: int, corpus: _Corpus) -> str:
     slow = 0
     for n in range(1, 31):
         start = time.monotonic()
@@ -127,7 +117,7 @@ def _suite_paths(seed: int, corpus: _BatteryCorpus) -> str:
     return "gamma(P_n) = ceil(n/3) for n = 1..30, each under 1s"
 
 
-def _suite_families(seed: int, corpus: _BatteryCorpus) -> str:
+def _suite_families(seed: int, corpus: _Corpus) -> str:
     for n in range(1, 9):
         for gen, label in ((gen_k_star, "K*"), (gen_s_star, "S*")):
             got = gamma_exact(gen(n)).gamma
@@ -136,7 +126,7 @@ def _suite_families(seed: int, corpus: _BatteryCorpus) -> str:
     return "gamma(K*_n) = gamma(S*_n) = n for n = 1..8"
 
 
-def _suite_ore(seed: int, corpus: _BatteryCorpus) -> str:
+def _suite_ore(seed: int, corpus: _Corpus) -> str:
     checked = 0
     for graph in corpus():
         if graph.n < 2:
@@ -147,7 +137,7 @@ def _suite_ore(seed: int, corpus: _BatteryCorpus) -> str:
     return f"gamma <= floor(n/2) on all {checked} connected graphs, 2 <= n <= 8"
 
 
-def _suite_ckshep(seed: int, corpus: _BatteryCorpus) -> str:
+def _suite_ckshep(seed: int, corpus: _Corpus) -> str:
     patterns = [claw_graph(), gen_k_star(3)]
     exhaustive = [g for g in corpus() if is_free(g, patterns)]
     sampled = sample_free_connected(
@@ -165,7 +155,7 @@ def _suite_ckshep(seed: int, corpus: _BatteryCorpus) -> str:
     )
 
 
-def _suite_soundness(seed: int, corpus: _BatteryCorpus) -> str:
+def _suite_soundness(seed: int, corpus: _Corpus) -> str:
     for configs, (k, ell, m), tag in (
         (THEOREM_A_CONFIGS, (3, 2, 5), 5),
         (THEOREM_B_CONFIGS, (3, 3, 6), 6),
@@ -186,7 +176,7 @@ def _suite_soundness(seed: int, corpus: _BatteryCorpus) -> str:
     )
 
 
-def _suite_independence(seed: int, corpus: _BatteryCorpus) -> str:
+def _suite_independence(seed: int, corpus: _Corpus) -> str:
     graphs = corpus()
     for graph in graphs:
         independent = maximal_independent_subset(graph, range(graph.n))
@@ -202,7 +192,7 @@ def _suite_independence(seed: int, corpus: _BatteryCorpus) -> str:
     )
 
 
-def _suite_ramsey(seed: int, corpus: _BatteryCorpus) -> str:
+def _suite_ramsey(seed: int, corpus: _Corpus) -> str:
     count = 0
     for graph in all_labeled_graphs(6):
         count += 1
@@ -241,7 +231,7 @@ def violation_suite() -> list[tuple[Graph, int, int, int, int, str, int]]:
     return cases
 
 
-def _suite_witness(seed: int, corpus: _BatteryCorpus) -> str:
+def _suite_witness(seed: int, corpus: _Corpus) -> str:
     for host, root, layer, k, ell, shape, size in violation_suite():
         witness = extract_forbidden_witness(host, bfs_layers(host, root), layer, k, ell)
         if witness is None or witness.shape != shape or witness.size != size:
@@ -266,7 +256,7 @@ def _suite_witness(seed: int, corpus: _BatteryCorpus) -> str:
     )
 
 
-def _suite_bound_table(seed: int, corpus: _BatteryCorpus) -> str:
+def _suite_bound_table(seed: int, corpus: _Corpus) -> str:
     checks = []
     for i in range(1, 7):
         checks.append((g_value(2, 2, i), 1, f"g(2,2,{i})"))
@@ -283,9 +273,9 @@ def _suite_bound_table(seed: int, corpus: _BatteryCorpus) -> str:
     return f"{len(checks)} hand-derived recursion values match"
 
 
-def _oracle_hosts(seed: int, corpus: _BatteryCorpus) -> list[Graph]:
-    hosts = corpus(6)
-    hosts += [g for g in corpus(7) if g.n == 7][:20]
+def _oracle_hosts(seed: int, corpus: _Corpus) -> list[Graph]:
+    hosts = [g for g in corpus() if g.n <= 6]
+    hosts += [g for g in corpus() if g.n == 7][:20]
     hosts += [g for g in corpus() if g.n == 8][:10]
     rng = random.Random(_salt(seed, 99))
     added = 0
@@ -297,18 +287,15 @@ def _oracle_hosts(seed: int, corpus: _BatteryCorpus) -> list[Graph]:
     return hosts
 
 
-def _suite_oracles(seed: int, corpus: _BatteryCorpus) -> str:
-    gamma_checked = 0
-    for graph in corpus(7):
-        gamma_checked += 1
+def _suite_oracles(seed: int, corpus: _Corpus) -> str:
+    gamma_graphs = [g for g in corpus() if g.n <= 7]
+    for graph in gamma_graphs:
         if gamma_exact(graph).gamma != gamma_brute_force(graph).gamma:
             raise _Failed(f"gamma mismatch on {to_graph6(graph)}")
     hosts = _oracle_hosts(seed, corpus)
-    patterns = corpus(5)
-    pair_count = 0
+    patterns = [g for g in corpus() if g.n <= 5]
     for host in hosts:
         for pattern in patterns:
-            pair_count += 1
             fast = contains_induced(host, pattern)
             slow = induced_subgraph_brute(host, pattern)
             if (fast is None) != (slow is None):
@@ -319,12 +306,12 @@ def _suite_oracles(seed: int, corpus: _BatteryCorpus) -> str:
             if fast is not None and not verify_embedding(host, pattern, fast):
                 raise _Failed(f"invalid embedding on host {to_graph6(host)}")
     return (
-        f"two gamma routes agree on {gamma_checked} graphs; two containment "
-        f"routes agree on {pair_count} host/pattern pairs"
+        f"two gamma routes agree on {len(gamma_graphs)} graphs; two containment "
+        f"routes agree on {len(hosts) * len(patterns)} host/pattern pairs"
     )
 
 
-def _suite_roundtrip(seed: int, corpus: _BatteryCorpus) -> str:
+def _suite_roundtrip(seed: int, corpus: _Corpus) -> str:
     count = 0
     for graph in corpus():
         count += 1
@@ -341,7 +328,7 @@ def _suite_roundtrip(seed: int, corpus: _BatteryCorpus) -> str:
     return f"{count} corpus graphs round-trip; 'D?' and 'A_' decode as documented"
 
 
-_SUITES: dict[str, Callable[[int, _BatteryCorpus], str]] = {
+_SUITES: dict[str, Callable[[int, _Corpus], str]] = {
     "paths": _suite_paths,
     "families": _suite_families,
     "ore": _suite_ore,
@@ -359,7 +346,7 @@ SUITE_NAMES = tuple(_SUITES)
 
 
 def run_suite(
-    name: str, seed: int = DEFAULT_SEED, corpus: Optional[_BatteryCorpus] = None
+    name: str, seed: int = DEFAULT_SEED, corpus: Optional[_Corpus] = None
 ) -> CriterionResult:
     """Run one named suite; unknown names raise DomcertError.
 
@@ -371,7 +358,7 @@ def run_suite(
             f"unknown suite {name!r}; choose from {', '.join(SUITE_NAMES)}"
         )
     try:
-        detail = _SUITES[name](seed, corpus if corpus is not None else _BatteryCorpus())
+        detail = _SUITES[name](seed, corpus or functools.cache(load_fixture_corpus))
     except _Failed as failure:
         return CriterionResult(name, False, str(failure))
     return CriterionResult(name, True, detail)
@@ -383,5 +370,5 @@ def run_suites(
     """Run the named suites (default: all) in declaration order, parsing the
     packaged corpus at most once for all of them."""
     selected = SUITE_NAMES if names is None else tuple(names)
-    corpus = _BatteryCorpus()
+    corpus = functools.cache(load_fixture_corpus)
     return [run_suite(name, seed, corpus) for name in selected]

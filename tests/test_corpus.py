@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import random
 import sys
+from collections import Counter
 from typing import Optional
 
 import pytest
@@ -22,6 +23,7 @@ from domcert.corpus import (
     fixture_path,
     load_fixture_corpus,
     sample_free_connected,
+    write_fixture,
 )
 from domcert.graph_core import (
     Graph,
@@ -193,16 +195,14 @@ class TestCanonicalForm:
 
 class TestEnumeration:
     def test_counts_up_to_six(self):
-        grouped = enumerate_connected_graphs(6)
-        counts = {n: len(members) for n, members in grouped.items()}
+        counts = Counter(g.n for g in enumerate_connected_graphs(6))
         assert counts == {n: EXPECTED_CONNECTED_COUNTS[n] for n in range(1, 7)}
 
     def test_members_connected_and_distinct(self):
-        grouped = enumerate_connected_graphs(5)
-        for members in grouped.values():
-            assert all(is_connected(g) for g in members)
-            keys = [canonical_graph6(g) for g in members]
-            assert len(set(keys)) == len(keys)
+        members = enumerate_connected_graphs(5)
+        assert all(is_connected(g) for g in members)
+        keys = [canonical_graph6(g) for g in members]
+        assert len(set(keys)) == len(keys)
 
     def test_all_labeled_counts(self):
         assert len(list(all_labeled_graphs(3))) == 8
@@ -220,17 +220,14 @@ class TestEnumeration:
 
 class TestFixtureCorpus:
     def test_counts_match_expected(self):
-        grouped = load_fixture_corpus()
-        counts = {n: len(members) for n, members in grouped.items()}
-        assert counts == EXPECTED_CONNECTED_COUNTS
+        assert Counter(g.n for g in load_fixture_corpus()) == EXPECTED_CONNECTED_COUNTS
 
     def test_all_connected(self):
         assert all(is_connected(g) for g in corpus_graphs(CORPUS_MAX_N))
 
     def test_shared_neighbourhoods_parse_like_parse_graph6(self):
         lines = [line for line in fixture_path().read_text().splitlines() if line.strip()]
-        grouped = load_fixture_corpus()
-        loaded = [g for n in sorted(grouped) for g in grouped[n]]
+        loaded = load_fixture_corpus()
         assert loaded == [parse_graph6(line) for line in lines]
         assert len({id(nbrs) for g in loaded for nbrs in g.adj}) <= 1 << CORPUS_MAX_N
 
@@ -239,10 +236,13 @@ class TestFixtureCorpus:
             assert parse_graph6(to_graph6(g)) == g
 
     def test_matches_fresh_enumeration(self):
-        fresh = enumerate_connected_graphs(5)
-        stored = load_fixture_corpus()
-        for n in range(1, 6):
-            assert [to_graph6(g) for g in stored[n]] == [to_graph6(g) for g in fresh[n]]
+        assert corpus_graphs(5) == enumerate_connected_graphs(5)
+
+    def test_write_fixture_writes_the_packaged_prefix(self, tmp_path):
+        path = tmp_path / "c.g6"
+        assert write_fixture(path, 5) == {1: 1, 2: 1, 3: 2, 4: 6, 5: 21}
+        packaged = fixture_path().read_text().splitlines(keepends=True)
+        assert path.read_text() == "".join(packaged[:31])
 
     def test_relabelled_lines_are_fixed_points(self):
         # Covers n = 6 to 8, which the fresh enumeration above leaves out.

@@ -37,8 +37,8 @@ def test_battery_without_corpus_suites_parses_nothing(loads):
 
 
 def test_shared_corpus_is_not_grown_by_a_suite(loads):
-    # The oracle hosts extend the list they are given; the suites after them
-    # must still see the corpus as parsed.
+    # The oracle hosts extend a list filtered from the shared one; the suites
+    # after them must still see the corpus as parsed.
     first, second, roundtrip = run_suites(["oracles", "oracles", "roundtrip"])
     assert first.passed and roundtrip.passed
     assert second == first
