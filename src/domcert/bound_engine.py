@@ -293,33 +293,25 @@ class ForbiddenWitness:
     embedding: Embedding
 
 
-def _checked_witness(
-    graph: Graph, shape: str, size: int, mapping: tuple[int, ...]
+def _witness(
+    graph: Graph, center: Optional[int], legs: list[tuple[int, int]]
 ) -> ForbiddenWitness:
-    witness = ForbiddenWitness(shape, size, Embedding(mapping))
-    pattern = gen_k_star(size) if shape == "kstar" else gen_s_star(size)
+    """The K*_k (center None: the middles form a clique, the tips are their
+    private pendants) or S*_ell (the middles hang off center) embedding from
+    (middle, tip) legs, sorted by middle, re-validated against the host."""
+    legs = sorted(legs)
+    if center is None:
+        shape, hub, pattern = "kstar", (), gen_k_star(len(legs))
+    else:
+        shape, hub, pattern = "sstar", (center,), gen_s_star(len(legs))
+    mapping = hub + tuple(mid for mid, _ in legs) + tuple(tip for _, tip in legs)
+    witness = ForbiddenWitness(shape, len(legs), Embedding(mapping))
     if not verify_embedding(graph, pattern, witness.embedding):
         raise WitnessContradictionError(
             f"assembled {shape} witness is not a valid induced embedding; "
             "this indicates a bug in the extraction logic"
         )
     return witness
-
-
-def _kstar_witness(
-    graph: Graph, clique: frozenset[int], pendant_of: dict[int, int]
-) -> ForbiddenWitness:
-    """K*_k embedding from a clique whose members have pairwise-private pendants."""
-    members = sorted(clique)
-    mapping = tuple(members) + tuple(pendant_of[u] for u in members)
-    return _checked_witness(graph, "kstar", len(members), mapping)
-
-
-def _sstar_witness(graph: Graph, center: int, legs: list[tuple[int, int]]) -> ForbiddenWitness:
-    """S*_ell embedding from a center and (middle, tip) legs, sorted by middle."""
-    legs = sorted(legs)
-    mapping = (center,) + tuple(mid for mid, _ in legs) + tuple(tip for _, tip in legs)
-    return _checked_witness(graph, "sstar", len(legs), mapping)
 
 
 def _contradiction(stage: str) -> WitnessContradictionError:
@@ -364,7 +356,7 @@ def _u_overflow_witness(
         raise _contradiction("the Ramsey dichotomy produced neither set")
     if dichotomy.kind == "clique":
         # The clique plus its private neighbors induces K*_k.
-        return _kstar_witness(graph, dichotomy.vertices, pendant_of)
+        return _witness(graph, None, [(u, pendant_of[u]) for u in dichotomy.vertices])
 
     # Independent branch: dominate the independent set from one layer deeper,
     # then pigeonhole a vertex there adjacent to ell of its members; that
@@ -376,8 +368,7 @@ def _u_overflow_witness(
     if witness is not None:
         return witness
     u_prime, attached = _pigeonhole(graph, deeper, u2_set, ell, "ell members")
-    legs = [(mid, pendant_of[mid]) for mid in attached[:ell]]
-    return _sstar_witness(graph, u_prime, legs)
+    return _witness(graph, u_prime, [(mid, pendant_of[mid]) for mid in attached[:ell]])
 
 
 def extract_forbidden_witness(
@@ -418,6 +409,5 @@ def extract_forbidden_witness(
     if dichotomy is None:
         raise _contradiction("the Ramsey dichotomy produced neither set")
     if dichotomy.kind == "clique":
-        return _kstar_witness(graph, dichotomy.vertices, middle_of)
-    legs = [(middle_of[y], y) for y in dichotomy.vertices]
-    return _sstar_witness(graph, u_prime, legs)
+        return _witness(graph, None, [(y, middle_of[y]) for y in dichotomy.vertices])
+    return _witness(graph, u_prime, [(middle_of[y], y) for y in dichotomy.vertices])

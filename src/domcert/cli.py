@@ -7,7 +7,8 @@ graph6 string so a report alone identifies the instance up to isomorphism.
 `main` may be called many times in one process: it builds one parser per
 process, on the first call, and looks each handler up by command name. A
 handler returns the report body and exit status; `main` alone loads the input
-graph, puts the "command" and "input" keys first and writes the report.
+graph, puts the "command", "input" and "parameters" (the parsed options, less
+the graph options) keys first and writes the report.
 """
 
 from __future__ import annotations
@@ -167,7 +168,7 @@ def _parse_family_list(text: str) -> list[Graph]:
 # ---------------------------------------------------------------------------
 # Command handlers: each takes the graph that main loaded (None for commands
 # without graph options) and returns (report body, exit status); main alone
-# loads the input and writes "command" and "input"
+# loads the input and writes "command", "input" and "parameters"
 # ---------------------------------------------------------------------------
 
 def _check_bound_budget(args, flags: tuple[str, ...], top: int) -> None:
@@ -188,10 +189,7 @@ def _check_bound_budget(args, flags: tuple[str, ...], top: int) -> None:
 
 def _cmd_gamma(args, graph: Graph) -> tuple[dict, int]:
     result = gamma_exact(graph, node_budget=GAMMA_NODE_BUDGET)
-    return {
-        "parameters": {},
-        "result": {"gamma": result.gamma, "witness": sorted(result.witness)},
-    }, 0
+    return {"result": {"gamma": result.gamma, "witness": sorted(result.witness)}}, 0
 
 
 def _cmd_free(args, graph: Graph) -> tuple[dict, int]:
@@ -214,7 +212,7 @@ def _cmd_free(args, graph: Graph) -> tuple[dict, int]:
         result["violated_family"] = name
         result["violated_size"] = size
         result["embedding"] = list(outcome.embedding.mapping)
-    return {"parameters": {"k": k, "l": ell, "m": m}, "result": result}, 0
+    return {"result": result}, 0
 
 
 def _report_bound(bound: BoundReport) -> dict:
@@ -238,13 +236,6 @@ def _cmd_dominate(args, graph: Graph) -> tuple[dict, int]:
         verify_freeness=args.verify_freeness,
     )
     return {
-        "parameters": {
-            "root": args.root,
-            "k": k,
-            "l": ell,
-            "m": m,
-            "verify_freeness": args.verify_freeness,
-        },
         "result": {
             "dominating_set": sorted(dominating),
             "size": len(dominating),
@@ -255,8 +246,10 @@ def _cmd_dominate(args, graph: Graph) -> tuple[dict, int]:
 
 
 def _cmd_witness(args, graph: Graph) -> tuple[dict, int]:
-    root = args.root if args.root is not None else min_eccentricity_vertex(graph)
-    layers = bfs_layers(graph, root)
+    # Reported as the root used, so resolved in place.
+    if args.root is None:
+        args.root = min_eccentricity_vertex(graph)
+    layers = bfs_layers(graph, args.root)
     _check_bound_budget(args, ("k", "l", "layer"), args.layer)
     witness = extract_forbidden_witness(graph, layers, args.layer, args.k, args.l)
     witnesses = []
@@ -268,21 +261,13 @@ def _cmd_witness(args, graph: Graph) -> tuple[dict, int]:
                 "embedding": list(witness.embedding.mapping),
             }
         )
-    return {
-        "parameters": {"root": root, "layer": args.layer, "k": args.k, "l": args.l},
-        "result": {"found": witness is not None},
-        "witnesses": witnesses,
-    }, 0
+    return {"result": {"found": witness is not None}, "witnesses": witnesses}, 0
 
 
 def _cmd_leq(args, graph: None) -> tuple[dict, int]:
     first = _parse_family_list(args.first)
     second = _parse_family_list(args.second)
-    holds = leq_relation(first, second)
-    return {
-        "parameters": {"first": args.first, "second": args.second},
-        "result": {"holds": holds},
-    }, 0
+    return {"result": {"holds": leq_relation(first, second)}}, 0
 
 
 def _cmd_bounds(args, graph: None) -> tuple[dict, int]:
@@ -298,7 +283,6 @@ def _cmd_bounds(args, graph: None) -> tuple[dict, int]:
             "g": g_value(args.k, args.l, args.i),
             "f": f_value(args.k, args.l, args.i) if args.i >= 2 else None,
         }
-        parameters = {"k": args.k, "l": args.l, "i": args.i, "m": None}
     else:
         rows = [
             {"i": i, "g": g_value(args.k, args.l, i), "f": f_value(args.k, args.l, i)}
@@ -309,16 +293,12 @@ def _cmd_bounds(args, graph: None) -> tuple[dict, int]:
             "theorem_bound": theorem_bound(args.k, args.l, args.m),
             "rows": rows,
         }
-        parameters = {"k": args.k, "l": args.l, "i": None, "m": args.m}
-    return {"parameters": parameters, "result": result}, 0
+    return {"result": result}, 0
 
 
 def _cmd_gen(args, graph: None) -> tuple[dict, int]:
     generated = _make_family(args.family, args.size)
-    return {
-        "parameters": {"family": args.family, "size": args.size},
-        "result": {"n": generated.n, "graph6": to_graph6(generated)},
-    }, 0
+    return {"result": {"n": generated.n, "graph6": to_graph6(generated)}}, 0
 
 
 def _cmd_verify(args, graph: None) -> tuple[dict, int]:
@@ -328,6 +308,7 @@ def _cmd_verify(args, graph: None) -> tuple[dict, int]:
     except FileNotFoundError as exc:
         raise UsageError(f"fixture corpus missing: {exc}") from exc
     failed = [r.name for r in results if not r.passed]
+    # Its own "parameters", in place of main's: the suites run, all of them by default.
     return {
         "parameters": {
             "suites": list(names) if names else list(SUITE_NAMES),
@@ -398,6 +379,11 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# Options left out of a report's "parameters": where it is written, and what
+# "command" and "input" already report.
+_NOT_PARAMETERS = ("output", "command", "input", "graph6", "format")
+
+
 @functools.cache
 def _parser() -> argparse.ArgumentParser:
     """The parser of this process, built by the first `main` call."""
@@ -413,7 +399,12 @@ def main(argv: Optional[list[str]] = None) -> int:
                 raise UsageError(f"--{name} needs a value")
         graph, descriptor = _load_graph(args) if "graph6" in args else (None, None)
         body, status = globals()[f"_cmd_{args.command}"](args, graph)
-        text = json.dumps({"command": args.command, "input": descriptor, **body}, indent=2) + "\n"
+        # Read after the handler: `witness` resolves its root in place.
+        parameters = {
+            name: value for name, value in vars(args).items() if name not in _NOT_PARAMETERS
+        }
+        report = {"command": args.command, "input": descriptor, "parameters": parameters, **body}
+        text = json.dumps(report, indent=2) + "\n"
         if args.output is None:
             sys.stdout.write(text)
         else:

@@ -35,9 +35,6 @@ from .subgraph import _first_assignment, is_free
 CORPUS_FILE = "connected_n_le_8.g6"
 CORPUS_MAX_N = 8
 
-# Connected graphs per vertex count, for validating enumeration and fixture.
-EXPECTED_CONNECTED_COUNTS = {1: 1, 2: 1, 3: 2, 4: 6, 5: 21, 6: 112, 7: 853, 8: 11117}
-
 
 # ---------------------------------------------------------------------------
 # Canonical labeling

@@ -16,6 +16,9 @@ settings.register_profile(
 )
 settings.load_profile("suite")
 
+# Connected graphs per vertex count, for validating enumeration and fixture.
+EXPECTED_CONNECTED_COUNTS = {1: 1, 2: 1, 3: 2, 4: 6, 5: 21, 6: 112, 7: 853, 8: 11117}
+
 
 def _all_pairs(n: int) -> list[tuple[int, int]]:
     return [(u, v) for u in range(n) for v in range(u + 1, n)]

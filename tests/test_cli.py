@@ -7,6 +7,7 @@ import os
 import random
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 from conftest import graphs
@@ -25,6 +26,7 @@ from domcert.graph_core import (
     gen_s_star,
     to_graph6,
 )
+from domcert.verify import DEFAULT_SEED, SUITE_NAMES
 
 
 def run_json(argv, capsys, expect_status=0):
@@ -280,24 +282,40 @@ class TestBounds:
 
 class TestReportLayout:
     @pytest.mark.parametrize(
-        "argv, keys",
+        "argv, keys, parameters",
         [
-            (["gamma", "--graph6", "D~{"], ["result"]),
-            (["free", "--graph6", "D~{", "--m", "4"], ["result"]),
-            (["dominate", "--graph6", "D~{"], ["result", "bound_report"]),
+            (["gamma", "--graph6", "D~{"], ["result"], {}),
+            (["free", "--graph6", "D~{", "--m", "4"], ["result"], {"k": None, "l": None, "m": 4}),
+            (["dominate", "--graph6", "D~{"], ["result", "bound_report"],
+             {"root": None, "k": None, "l": None, "m": None, "verify_freeness": False}),
             (["witness", "--graph6", to_graph6(gen_path(5)), "--layer", "2", "--k", "3",
-              "--l", "2"], ["result", "witnesses"]),
-            (["leq", "--first", "claw", "--second", "sstar:3"], ["result"]),
-            (["bounds", "--k", "3", "--l", "2", "--m", "5"], ["result"]),
-            (["gen", "--family", "path", "--size", "3"], ["result"]),
-            (["verify", "--suite", "bound-table"], ["result", "criteria"]),
+              "--l", "2"], ["result", "witnesses"], {"root": 2, "layer": 2, "k": 3, "l": 2}),
+            (["witness", "--graph6", to_graph6(gen_path(5)), "--root", "0", "--layer", "2",
+              "--k", "3", "--l", "2"], ["result", "witnesses"],
+             {"root": 0, "layer": 2, "k": 3, "l": 2}),
+            (["leq", "--first", "claw", "--second", "sstar:3"], ["result"],
+             {"first": "claw", "second": "sstar:3"}),
+            (["bounds", "--k", "3", "--l", "2", "--m", "5"], ["result"],
+             {"k": 3, "l": 2, "i": None, "m": 5}),
+            (["gen", "--family", "path", "--size", "3"], ["result"],
+             {"family": "path", "size": 3}),
+            (["verify", "--suite", "bound-table"], ["result", "criteria"],
+             {"suites": ["bound-table"], "seed": DEFAULT_SEED}),
+            (["verify"], ["result", "criteria"],
+             {"suites": list(SUITE_NAMES), "seed": DEFAULT_SEED}),
         ],
-        ids=["gamma", "free", "dominate", "witness", "leq", "bounds", "gen", "verify"],
+        ids=["gamma", "free", "dominate", "witness", "witness-root", "leq", "bounds", "gen",
+             "verify", "verify-all"],
     )
-    def test_top_level_key_order(self, argv, keys, capsys):
+    def test_top_level_key_order(self, argv, keys, parameters, capsys, monkeypatch):
+        if argv == ["verify"]:
+            # Every suite by default: the parameters, not the battery, are under test.
+            monkeypatch.setattr(cli, "run_suites", lambda names, seed: [])
         report = run_json(argv, capsys)
         assert list(report) == ["command", "input", "parameters"] + keys
         assert report["command"] == argv[0]
+        assert report["parameters"] == parameters
+        assert list(report["parameters"]) == list(parameters)
         if argv[0] in ("leq", "bounds", "gen", "verify"):
             assert report["input"] is None
         else:
@@ -305,14 +323,23 @@ class TestReportLayout:
 
     @pytest.mark.parametrize("name", sorted(n for n in vars(cli) if n.startswith("_cmd_")))
     def test_handlers_leave_the_envelope_to_main(self, name):
-        # main alone loads the input graph and writes the "input" key. A dict
-        # display with constant keys stores them as one tuple constant.
+        # main alone loads the input graph and writes the "input" key, and the
+        # "parameters" key for all but verify. A dict display with constant keys
+        # stores them as one tuple constant.
         codes = [getattr(cli, name).__code__]
         for code in codes:
             consts = [c for t in code.co_consts for c in (t if isinstance(t, tuple) else (t,))]
             assert "_load_graph" not in code.co_names
             assert "input" not in consts
+            assert "parameters" not in consts or name == "_cmd_verify"
             codes.extend(c for c in consts if hasattr(c, "co_consts"))
+
+    def test_readme_dominate_report(self, capsys):
+        readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+        after = readme.split("A `dominate` report looks like:", 1)[1]
+        shown = after.split("```json\n", 1)[1].split("```", 1)[0]
+        argv = ["dominate", "--graph6", "FhCGG", "--k", "3", "--l", "2", "--m", "5"]
+        assert run_json(argv, capsys) == json.loads(shown)
 
     def test_bound_report_key_order(self, capsys):
         argv = ["dominate", "--graph6", to_graph6(gen_path(6)), "--k", "3", "--l", "2",

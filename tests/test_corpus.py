@@ -10,10 +10,9 @@ from typing import Optional
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import graphs
+from conftest import EXPECTED_CONNECTED_COUNTS, graphs
 from domcert.corpus import (
     CORPUS_MAX_N,
-    EXPECTED_CONNECTED_COUNTS,
     _refine,
     all_labeled_graphs,
     canonical_graph6,

@@ -7,10 +7,9 @@ from types import SimpleNamespace
 
 import pytest
 
-from conftest import count_corpus_parses
+from conftest import EXPECTED_CONNECTED_COUNTS, count_corpus_parses
 from domcert import verify
 from domcert.cli import main
-from domcert.corpus import EXPECTED_CONNECTED_COUNTS
 from domcert.errors import DomcertError
 from domcert.verify import SUITE_NAMES, CriterionResult, run_suite, run_suites
 
