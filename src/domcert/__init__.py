@@ -57,7 +57,6 @@ from .graph_core import (
     LayerDecomposition,
     bfs_layers,
     closed_neighborhood,
-    eccentricity,
     from_edge_list,
     gen_complete,
     gen_empty,
@@ -82,62 +81,9 @@ from .subgraph import (
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "BoundReport",
-    "DisconnectedGraphError",
-    "DomcertError",
-    "EdgeListFormatError",
-    "Embedding",
-    "ForbiddenWitness",
-    "FreenessResult",
-    "GammaResult",
-    "Graph",
-    "Graph6FormatError",
-    "GraphConstructionError",
-    "LayerDecomposition",
-    "PreconditionError",
-    "RamseyValue",
-    "RamseyWitness",
-    "SearchBudgetError",
-    "WitnessContradictionError",
-    "bfs_layers",
-    "canonical_graph6",
-    "closed_neighborhood",
-    "construct_dominating_set",
-    "contains_induced",
-    "corpus_graphs",
-    "dominate_layer",
-    "eccentricity",
-    "enumerate_connected_graphs",
-    "extract_forbidden_witness",
-    "f_value",
-    "from_edge_list",
-    "g_value",
-    "gamma_brute_force",
-    "gamma_exact",
-    "gen_complete",
-    "gen_empty",
-    "gen_k_star",
-    "gen_path",
-    "gen_s_star",
-    "independence_number",
-    "induced_subgraph_brute",
-    "is_connected",
-    "is_dominating",
-    "is_free",
-    "is_independent",
-    "leq_relation",
-    "load_fixture_corpus",
-    "maximal_independent_subset",
-    "min_eccentricity_vertex",
-    "minimal_dominating_subset",
-    "parse_edge_list",
-    "parse_graph6",
-    "private_neighbors",
-    "ramsey_upper",
-    "ramsey_witness",
-    "sample_free_connected",
-    "theorem_bound",
-    "to_graph6",
-    "verify_embedding",
-]
+# The public API: every class and function the imports above bind.
+__all__ = sorted(
+    name
+    for name, obj in globals().items()
+    if not name.startswith("_") and getattr(obj, "__module__", "").startswith("domcert.")
+)

@@ -20,6 +20,7 @@ from collections import Counter
 from importlib import resources
 from typing import Iterable, Iterator, Optional, Sequence
 
+from .errors import PreconditionError
 from .graph_core import (
     Graph,
     _members,
@@ -251,6 +252,8 @@ def sample_free_connected(
     their neighbourhoods from one bitmask-keyed table local to this call, so
     equal neighbourhoods are one shared frozenset.
     """
+    if count > 0 and not configs:
+        raise PreconditionError("sampling needs at least one (n, p) config")
     pattern_list = list(patterns)
     rng = random.Random(seed)
     shared = _Neighbourhoods()

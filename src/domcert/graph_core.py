@@ -312,16 +312,11 @@ def bfs_layers(graph: Graph, root: int) -> LayerDecomposition:
         seen |= frontier
 
 
-def eccentricity(graph: Graph, v: int) -> int:
-    """Maximum distance from v within its component."""
-    return bfs_layers(graph, v).depth
-
-
 def min_eccentricity_vertex(graph: Graph) -> int:
-    """Vertex of minimum eccentricity, lowest id on ties."""
+    """Vertex of minimum eccentricity (the depth of its BFS layers), lowest id on ties."""
     if graph.n == 0:
         raise DisconnectedGraphError("empty graph has no vertices")
-    return min(range(graph.n), key=lambda v: eccentricity(graph, v))
+    return min(range(graph.n), key=lambda v: bfs_layers(graph, v).depth)
 
 
 def is_connected(graph: Graph) -> bool:

@@ -24,6 +24,7 @@ from domcert.corpus import (
     sample_free_connected,
     write_fixture,
 )
+from domcert.errors import PreconditionError
 from domcert.graph_core import (
     Graph,
     from_edge_list,
@@ -307,3 +308,8 @@ class TestSampling:
         impossible = [gen_path(1)]
         with pytest.raises(RuntimeError, match="stalled: 0/1 accepted in 4000 draws"):
             sample_free_connected(1, [(4, 0.5)], impossible, seed=3)
+
+    def test_no_configs_is_a_precondition_error(self):
+        with pytest.raises(PreconditionError, match="at least one"):
+            sample_free_connected(2, [], [], seed=1)
+        assert sample_free_connected(0, [], [], seed=1) == []

@@ -23,7 +23,6 @@ from domcert.graph_core import (
     Graph,
     bfs_layers,
     closed_neighborhood,
-    eccentricity,
     from_edge_list,
     gen_complete,
     gen_empty,
@@ -433,8 +432,8 @@ class TestBfsLayers:
                 assert abs(index[u] - index[v]) <= 1
 
     def test_eccentricity(self):
-        assert eccentricity(gen_path(5), 0) == 4
-        assert eccentricity(gen_path(5), 2) == 2
+        assert bfs_layers(gen_path(5), 0).depth == 4
+        assert bfs_layers(gen_path(5), 2).depth == 2
         assert min_eccentricity_vertex(gen_path(5)) == 2
 
     def test_min_eccentricity_tie_breaks_low(self):
