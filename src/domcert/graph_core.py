@@ -62,25 +62,12 @@ class Graph:
     def has_edge(self, u: int, v: int) -> bool:
         return v in self.adj[u]
 
-    def degree_sequence(self) -> tuple[int, ...]:
-        """Degrees in non-increasing order."""
-        return tuple(sorted((len(nbrs) for nbrs in self.adj), reverse=True))
-
     def edges(self) -> list[tuple[int, int]]:
         """All edges as (u, v) pairs with u < v, sorted."""
         return [(u, v) for u in range(self.n) for v in sorted(self.adj[u]) if u < v]
 
     def edge_count(self) -> int:
         return sum(len(nbrs) for nbrs in self.adj) // 2
-
-    def induced(self, vertices: Iterable[int]) -> "Graph":
-        """Induced subgraph on the given vertices, relabeled 0..k-1 in sorted order."""
-        order = sorted(set(vertices))
-        if order and not (0 <= order[0] and order[-1] < self.n):
-            raise GraphConstructionError(f"induced vertex set leaves [0,{self.n})")
-        index = {v: i for i, v in enumerate(order)}
-        adj = [frozenset(index[w] for w in self.adj[v] if w in index) for v in order]
-        return Graph(len(order), tuple(adj))
 
     def relabel(self, order: Sequence[int]) -> "Graph":
         """Graph with vertex order[i] renamed to i; order must be a permutation."""

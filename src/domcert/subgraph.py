@@ -120,17 +120,17 @@ def _first_assignment(masks, allowed, links, below) -> Optional[list[int]]:
 def induced_subgraph_brute(host: Graph, pattern: Graph) -> Optional[Embedding]:
     """Oracle twin of contains_induced: scan all vertex subsets and labelings.
 
-    A subset whose induced degree sequence differs from the pattern's cannot
-    hold an induced copy, so its labelings are skipped; the first embedding in
-    (subset, permutation) lexicographic order is still the one returned.
+    A subset whose induced degrees (read from adj) differ from the pattern's
+    cannot hold an induced copy, so its labelings are skipped; the first
+    embedding in (subset, permutation) lexicographic order is still returned.
     """
     if pattern.n > host.n:
         return None
     if pattern.n == 0:
         return Embedding(())
-    degrees = pattern.degree_sequence()
+    degrees = sorted(map(len, pattern.adj))
     for subset in combinations(range(host.n), pattern.n):
-        if host.induced(subset).degree_sequence() != degrees:
+        if sorted(len(host.adj[v].intersection(subset)) for v in subset) != degrees:
             continue
         for perm in permutations(subset):
             emb = Embedding(perm)

@@ -328,18 +328,12 @@ def _suite_roundtrip(seed: int, corpus: _Corpus) -> str:
     return f"{count} corpus graphs round-trip; 'D?' and 'A_' decode as documented"
 
 
+# The battery runs the _suite_* functions in definition order; each suite is
+# named by its function's name without the prefix, "_" read as "-".
 _SUITES: dict[str, Callable[[int, _Corpus], str]] = {
-    "paths": _suite_paths,
-    "families": _suite_families,
-    "ore": _suite_ore,
-    "ckshep": _suite_ckshep,
-    "soundness": _suite_soundness,
-    "independence": _suite_independence,
-    "ramsey": _suite_ramsey,
-    "witness": _suite_witness,
-    "bound-table": _suite_bound_table,
-    "oracles": _suite_oracles,
-    "roundtrip": _suite_roundtrip,
+    name.removeprefix("_suite_").replace("_", "-"): suite
+    for name, suite in globals().items()
+    if name.startswith("_suite_")
 }
 
 SUITE_NAMES = tuple(_SUITES)

@@ -148,7 +148,7 @@ class TestCanonicalForm:
     def test_same_degrees_still_distinguished(self):
         c6 = from_edge_list(6, [(0, 1), (1, 2), (2, 3), (3, 4), (4, 5), (5, 0)])
         two_triangles = from_edge_list(6, [(0, 1), (1, 2), (2, 0), (3, 4), (4, 5), (5, 3)])
-        assert c6.degree_sequence() == two_triangles.degree_sequence()
+        assert sorted(map(len, c6.adj)) == sorted(map(len, two_triangles.adj))
         assert canonical_graph6(c6) != canonical_graph6(two_triangles)
 
     def test_canonical_form_is_isomorphic_fixed_point(self):

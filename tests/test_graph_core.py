@@ -173,19 +173,6 @@ class TestGraphType:
         with pytest.raises(GraphConstructionError, match="not a permutation"):
             graph.relabel(order)
 
-    @pytest.mark.parametrize(
-        "vertices", [[-1, 0], [0, 5], [3]], ids=["negative", "too-large", "just-past-end"]
-    )
-    def test_induced_rejects_vertex_outside_range(self, vertices):
-        with pytest.raises(GraphConstructionError, match=r"induced vertex set leaves \[0,3\)"):
-            gen_path(3).induced(vertices)
-
-    def test_induced_relabels_sorted(self):
-        p4 = gen_path(4)
-        sub = p4.induced([1, 3, 2])
-        assert sub.n == 3
-        assert sub.edges() == [(0, 1), (1, 2)]
-
     def test_masks_mirror_adjacency(self):
         g = gen_k_star(3)
         assert g.masks == tuple(sum(1 << u for u in g.adj[v]) for v in range(g.n))
@@ -214,7 +201,7 @@ class TestFromEdgeList:
 
     def test_path_three(self):
         g = from_edge_list(3, [(0, 1), (1, 2)])
-        assert g.degree_sequence() == (2, 1, 1)
+        assert sorted(map(len, g.adj), reverse=True) == [2, 1, 1]
 
     def test_duplicate_edge_rejected(self):
         with pytest.raises(GraphConstructionError, match="duplicate"):
@@ -465,13 +452,14 @@ class TestConnectivity:
 
 class TestGenerators:
     def test_pendant_clique_degrees(self):
-        assert gen_k_star(3).degree_sequence() == (3, 3, 3, 1, 1, 1)
+        assert sorted(map(len, gen_k_star(3).adj), reverse=True) == [3, 3, 3, 1, 1, 1]
 
     def test_spider_degrees(self):
-        assert gen_s_star(3).degree_sequence() == (3, 2, 2, 2, 1, 1, 1)
+        assert sorted(map(len, gen_s_star(3).adj), reverse=True) == [3, 2, 2, 2, 1, 1, 1]
 
     def test_claw_shape_degrees(self):
-        assert from_edge_list(4, [(0, 1), (0, 2), (0, 3)]).degree_sequence() == (3, 1, 1, 1)
+        claw = from_edge_list(4, [(0, 1), (0, 2), (0, 3)])
+        assert sorted(map(len, claw.adj), reverse=True) == [3, 1, 1, 1]
 
     def test_spider_one_is_path_three(self):
         s1, p3 = gen_s_star(1), gen_path(3)

@@ -1,8 +1,8 @@
 """Kernels read masks, checkers read adj: the two routes share no code.
 
 The oracles and the literal checkers that the tests and the benchmark trust
-reference none of the fast routes; the search and construction kernels
-reference none of the frozenset adjacency.
+reference none of the fast routes and build no graph of their own; the search
+and construction kernels reference none of the frozenset adjacency.
 """
 
 from __future__ import annotations
@@ -32,6 +32,9 @@ from domcert.subgraph import contains_induced, induced_subgraph_brute, verify_em
 
 FAST_ROUTE_NAMES = {"masks", "contains_induced", "gamma_exact"}
 LITERAL_NAMES = {"adj", "has_edge", "closed_neighborhood"}
+GRAPH_BUILDERS = {
+    "Graph", "induced", "relabel", "from_edge_list", "parse_graph6", "parse_edge_list"
+}
 
 CHECKERS = [
     induced_subgraph_brute,
@@ -72,6 +75,11 @@ def referenced_names(code):
 @pytest.mark.parametrize("oracle", CHECKERS)
 def test_oracle_avoids_fast_routes(oracle):
     assert referenced_names(oracle.__code__) & FAST_ROUTE_NAMES == set()
+
+
+@pytest.mark.parametrize("checker", CHECKERS)
+def test_checker_builds_no_graph(checker):
+    assert referenced_names(checker.__code__) & GRAPH_BUILDERS == set()
 
 
 @pytest.mark.parametrize("kernel", KERNELS)

@@ -2,7 +2,8 @@
 
 The scripts under `perfbench/` are read as source (never imported or run), so
 deleting or renaming a public name they use fails here, and not only as a
-failed benchmark run or a per-layer metric stuck at zero.
+failed benchmark run or a per-layer metric stuck at zero. The tracer's list
+of `verify` suites must be the package's, in the same order.
 """
 
 from __future__ import annotations
@@ -15,6 +16,7 @@ import re
 from pathlib import Path
 
 import domcert
+from domcert.verify import SUITE_NAMES
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 SPAN = re.compile(r"([a-z_]+)\.([A-Za-z_]\w*)")
@@ -24,11 +26,11 @@ def _trees() -> dict[str, ast.Module]:
     return {path.name: ast.parse(path.read_text()) for path in sorted(PERFBENCH.glob("*.py"))}
 
 
-def _traced_layers(tracer: ast.Module) -> tuple[str, ...]:
+def _tracer_constant(tracer: ast.Module, name: str) -> tuple[str, ...]:
     for node in tracer.body:
-        if isinstance(node, ast.Assign) and [ast.unparse(t) for t in node.targets] == ["LAYERS"]:
+        if isinstance(node, ast.Assign) and [ast.unparse(t) for t in node.targets] == [name]:
             return ast.literal_eval(node.value)
-    raise AssertionError("tracer.py binds no LAYERS")
+    raise AssertionError(f"tracer.py binds no {name}")
 
 
 def _resolves(module: str, name: str) -> bool:
@@ -53,7 +55,7 @@ def test_package_attributes_and_imports_resolve():
 
 def test_span_names_are_public_functions_of_their_layer():
     trees = _trees()
-    layers = _traced_layers(trees["tracer.py"])
+    layers = _tracer_constant(trees["tracer.py"], "LAYERS")
     spans = {
         match.groups()
         for tree in trees.values()
@@ -69,3 +71,9 @@ def test_span_names_are_public_functions_of_their_layer():
         if attr.startswith("_") or not inspect.isfunction(obj) or obj.__module__ != f"domcert.{layer}":
             missing.append(f"{layer}.{attr}")
     assert missing == []
+
+
+def test_traced_suites_are_the_package_suites():
+    # A renamed _suite_* function renames its suite; the verify workload
+    # would only report the old name's criterion as missing.
+    assert _tracer_constant(_trees()["tracer.py"], "SUITES") == SUITE_NAMES
