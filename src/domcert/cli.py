@@ -6,9 +6,10 @@ graph6 string so a report alone identifies the instance up to isomorphism.
 
 `main` may be called many times in one process: it builds one parser per
 process, on the first call, and looks each handler up by command name. A
-handler returns the report body and exit status; `main` alone loads the input
-graph, puts the "command", "input" and "parameters" (the parsed options, less
-the graph options) keys first and writes the report.
+handler returns the report body, holding the library's result objects as they
+are, and the exit status; `main` alone loads the input graph, puts the
+"command", "input" and "parameters" (the parsed options, less the graph
+options) keys first, and writes the report, encoding every result.
 """
 
 from __future__ import annotations
@@ -20,7 +21,6 @@ import sys
 from typing import Optional
 
 from .bound_engine import (
-    BoundReport,
     construct_dominating_set,
     extract_forbidden_witness,
     f_value,
@@ -45,7 +45,7 @@ from .graph_core import (
     parse_graph6,
     to_graph6,
 )
-from .subgraph import is_free, leq_relation
+from .subgraph import Embedding, is_free, leq_relation
 from .verify import DEFAULT_SEED, SUITE_NAMES, claw_graph, run_suites
 
 
@@ -168,7 +168,7 @@ def _parse_family_list(text: str) -> list[Graph]:
 # ---------------------------------------------------------------------------
 # Command handlers: each takes the graph that main loaded (None for commands
 # without graph options) and returns (report body, exit status); main alone
-# loads the input and writes "command", "input" and "parameters"
+# loads the input, writes "command", "input" and "parameters" and encodes results
 # ---------------------------------------------------------------------------
 
 def _check_bound_budget(args, flags: tuple[str, ...], top: int) -> None:
@@ -188,36 +188,24 @@ def _check_bound_budget(args, flags: tuple[str, ...], top: int) -> None:
 
 
 def _cmd_gamma(args, graph: Graph) -> tuple[dict, int]:
-    result = gamma_exact(graph, node_budget=GAMMA_NODE_BUDGET)
-    return {"result": {"gamma": result.gamma, "witness": sorted(result.witness)}}, 0
+    return {"result": gamma_exact(graph, node_budget=GAMMA_NODE_BUDGET)}, 0
 
 
 def _cmd_free(args, graph: Graph) -> tuple[dict, int]:
-    k, ell, m = args.k, args.l, args.m
-    if k is None and ell is None and m is None:
+    given = (("kstar", args.k), ("sstar", args.l), ("path", args.m))
+    families = [(family, size) for family, size in given if size is not None]
+    if not families:
         raise UsageError("free needs at least one of --k, --l, --m")
-    patterns: list[tuple[str, int, Graph]] = []
-    for name, size in (("kstar", k), ("sstar", ell), ("path", m)):
-        if size is not None:
-            patterns.append((name, size, _make_family(name, size)))
-    outcome = is_free(graph, [g for _, _, g in patterns])
-    result = {
-        "free": outcome.free,
-        "violated_family": None,
-        "violated_size": None,
-        "embedding": None,
-    }
-    if not outcome.free:
-        name, size, _ = patterns[outcome.violated_index]
-        result["violated_family"] = name
-        result["violated_size"] = size
-        result["embedding"] = list(outcome.embedding.mapping)
-    return {"result": result}, 0
-
-
-def _report_bound(bound: BoundReport) -> dict:
-    """BoundReport's fields in declaration order, with ell reported as l."""
-    return {("l" if name == "ell" else name): value for name, value in vars(bound).items()}
+    outcome = is_free(graph, [_make_family(family, size) for family, size in families])
+    family, size = (None, None) if outcome.free else families[outcome.violated_index]
+    return {
+        "result": {
+            "free": outcome.free,
+            "violated_family": family,
+            "violated_size": size,
+            "embedding": outcome.embedding,
+        }
+    }, 0
 
 
 def _cmd_dominate(args, graph: Graph) -> tuple[dict, int]:
@@ -237,11 +225,11 @@ def _cmd_dominate(args, graph: Graph) -> tuple[dict, int]:
     )
     return {
         "result": {
-            "dominating_set": sorted(dominating),
+            "dominating_set": dominating,
             "size": len(dominating),
             "is_dominating": is_dominating(graph, dominating),
         },
-        "bound_report": _report_bound(bound),
+        "bound_report": bound,
     }, 0
 
 
@@ -252,15 +240,7 @@ def _cmd_witness(args, graph: Graph) -> tuple[dict, int]:
     layers = bfs_layers(graph, args.root)
     _check_bound_budget(args, ("k", "l", "layer"), args.layer)
     witness = extract_forbidden_witness(graph, layers, args.layer, args.k, args.l)
-    witnesses = []
-    if witness is not None:
-        witnesses.append(
-            {
-                "shape": witness.shape,
-                "size": witness.size,
-                "embedding": list(witness.embedding.mapping),
-            }
-        )
+    witnesses = [] if witness is None else [witness]
     return {"result": {"found": witness is not None}, "witnesses": witnesses}, 0
 
 
@@ -274,11 +254,10 @@ def _cmd_bounds(args, graph: None) -> tuple[dict, int]:
     if (args.i is None) == (args.m is None):
         raise UsageError("bounds needs exactly one of --i or --m")
     _check_bound_budget(args, ("k", "l", "i", "m"), args.i if args.i is not None else args.m - 2)
-    # A copy: ramsey_upper's instances are cached and shared.
-    ramsey_obj = dict(vars(ramsey_upper(args.k, args.l)))
+    ramsey = ramsey_upper(args.k, args.l)
     if args.i is not None:
         result = {
-            "ramsey": ramsey_obj,
+            "ramsey": ramsey,
             "i": args.i,
             "g": g_value(args.k, args.l, args.i),
             "f": f_value(args.k, args.l, args.i) if args.i >= 2 else None,
@@ -289,7 +268,7 @@ def _cmd_bounds(args, graph: None) -> tuple[dict, int]:
             for i in range(2, args.m - 1)
         ]
         result = {
-            "ramsey": ramsey_obj,
+            "ramsey": ramsey,
             "theorem_bound": theorem_bound(args.k, args.l, args.m),
             "rows": rows,
         }
@@ -315,9 +294,7 @@ def _cmd_verify(args, graph: None) -> tuple[dict, int]:
             "seed": args.seed,
         },
         "result": {"passed": not failed, "failed": failed},
-        "criteria": [
-            {"name": r.name, "passed": r.passed, "detail": r.detail} for r in results
-        ],
+        "criteria": results,
     }, 1 if failed else 0
 
 
@@ -384,6 +361,17 @@ def build_parser() -> argparse.ArgumentParser:
 _NOT_PARAMETERS = ("output", "command", "input", "graph6", "format")
 
 
+def _report_value(value):
+    """A library result as a report shows it: an Embedding as its mapping, a vertex
+    set sorted, and any other result as its fields in declaration order, with ell
+    reported as l."""
+    if isinstance(value, Embedding):
+        return value.mapping
+    if isinstance(value, frozenset):
+        return sorted(value)
+    return {("l" if name == "ell" else name): field for name, field in vars(value).items()}
+
+
 @functools.cache
 def _parser() -> argparse.ArgumentParser:
     """The parser of this process, built by the first `main` call."""
@@ -404,7 +392,7 @@ def main(argv: Optional[list[str]] = None) -> int:
             name: value for name, value in vars(args).items() if name not in _NOT_PARAMETERS
         }
         report = {"command": args.command, "input": descriptor, "parameters": parameters, **body}
-        text = json.dumps(report, indent=2) + "\n"
+        text = json.dumps(report, indent=2, default=_report_value) + "\n"
         if args.output is None:
             sys.stdout.write(text)
         else:

@@ -216,6 +216,17 @@ def _encode_size(n: int) -> bytes:
 # Edge-list text format: first line "n m", then m lines "u v"; '#' comments.
 # ---------------------------------------------------------------------------
 
+def _int_pair(line: str, what: str, shape: str) -> tuple[int, int]:
+    """The two integers of an edge-list line; `what` names the line in errors."""
+    parts = line.split()
+    if len(parts) != 2:
+        raise EdgeListFormatError(f"{what} must be {shape!r}, got {line!r}")
+    try:
+        return int(parts[0]), int(parts[1])
+    except ValueError as exc:
+        raise EdgeListFormatError(f"non-integer {what} {line!r}") from exc
+
+
 def parse_edge_list(text: str) -> Graph:
     """Parse the edge-list text format."""
     lines = []
@@ -225,28 +236,14 @@ def parse_edge_list(text: str) -> Graph:
             lines.append(line)
     if not lines:
         raise EdgeListFormatError("empty edge-list input")
-    head = lines[0].split()
-    if len(head) != 2:
-        raise EdgeListFormatError(f"header must be 'n m', got {lines[0]!r}")
-    try:
-        n, m = int(head[0]), int(head[1])
-    except ValueError as exc:
-        raise EdgeListFormatError(f"non-integer header {lines[0]!r}") from exc
+    n, m = _int_pair(lines[0], "header", "n m")
     # The graph6 limit, so both formats accept the same orders; checked before
     # any vertex is built.
     if n > _GRAPH6_MAX_N:
         raise EdgeListFormatError(f"graph order {n} exceeds the graph6 limit of {_GRAPH6_MAX_N}")
     if len(lines) - 1 != m:
         raise EdgeListFormatError(f"expected {m} edge lines, found {len(lines) - 1}")
-    edges = []
-    for line in lines[1:]:
-        parts = line.split()
-        if len(parts) != 2:
-            raise EdgeListFormatError(f"edge line must be 'u v', got {line!r}")
-        try:
-            edges.append((int(parts[0]), int(parts[1])))
-        except ValueError as exc:
-            raise EdgeListFormatError(f"non-integer edge line {line!r}") from exc
+    edges = [_int_pair(line, "edge line", "u v") for line in lines[1:]]
     try:
         return from_edge_list(n, edges)
     except GraphConstructionError as exc:

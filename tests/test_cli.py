@@ -5,6 +5,7 @@ from __future__ import annotations
 import json
 import os
 import random
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -27,6 +28,12 @@ from domcert.graph_core import (
     to_graph6,
 )
 from domcert.verify import DEFAULT_SEED, SUITE_NAMES
+
+
+# Each "$ argv" line of cli_golden.txt, then the exact stdout of that command.
+GOLDEN = re.split(
+    r"^\$ (.*)\n", Path(__file__).with_name("cli_golden.txt").read_text(), flags=re.M
+)
 
 
 def run_json(argv, capsys, expect_status=0):
@@ -332,6 +339,8 @@ class TestReportLayout:
             assert "_load_graph" not in code.co_names
             assert "input" not in consts
             assert "parameters" not in consts or name == "_cmd_verify"
+            # main encodes every result: a handler returns the library's objects as they are.
+            assert not {"sorted", "vars", "mapping"} & set(code.co_names)
             codes.extend(c for c in consts if hasattr(c, "co_consts"))
 
     def test_readme_dominate_report(self, capsys):
@@ -348,6 +357,11 @@ class TestReportLayout:
             "root", "layer_sizes", "total_size", "k", "l", "m",
             "layer_bounds", "total_bound", "bound_held", "freeness_checked",
         ]
+
+    @pytest.mark.parametrize("argv, stdout", list(zip(GOLDEN[1::2], GOLDEN[2::2])))
+    def test_golden_report_bytes(self, argv, stdout, capsys):
+        assert main(argv.split()) == 0
+        assert capsys.readouterr().out == stdout
 
 
 class TestGen:

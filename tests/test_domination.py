@@ -327,7 +327,7 @@ class TestIndependenceNumber:
             assert independence_number(gen_complete(n)) == 1
 
     def test_matches_reference_on_corpus(self):
-        for g in corpus_graphs(7):
+        for g in (g for g in corpus_graphs() if g.n <= 7):
             assert independence_number(g) == reference_alpha(g)
 
     @given(graphs())
