@@ -161,19 +161,17 @@ def ramsey_witness(
 # ---------------------------------------------------------------------------
 
 def _layer_stages(graph: Graph, layers: LayerDecomposition, i: int) -> tuple[frozenset[int], ...]:
-    """Layer i's stages X and U, the residual of the layer that U misses, and
-    stage X0 dominating that residual; see dominate_layer."""
+    """Layer i's stages X and U, the vertices of layer i with no neighbour in U,
+    and stage X0 dominating those; see dominate_layer. Refuses i < 2 and i > depth."""
     if i < 2:
         raise PreconditionError(f"layer stages require i >= 2, got {i}")
-    target = layers.layer(i)
-    if not target:
+    if i > layers.depth:
         raise PreconditionError(f"layer {i} is empty")
+    target = layers.layers[i]
     x_set = maximal_independent_subset(graph, target)
-    u_set = minimal_dominating_subset(graph, layers.layer(i - 1), x_set)
-    covered = sum(1 << u for u in u_set)
-    for u in u_set:
-        covered |= graph.masks[u]
-    residual = frozenset(_members(sum(1 << v for v in target) & ~covered))
+    u_set = minimal_dominating_subset(graph, layers.layers[i - 1], x_set)
+    u_mask = sum(1 << u for u in u_set)
+    residual = frozenset(v for v in target if not graph.masks[v] & u_mask)
     return x_set, u_set, residual, minimal_dominating_subset(graph, x_set, residual)
 
 
@@ -363,7 +361,7 @@ def _u_overflow_witness(
     # vertex, those members, and their privates induce S*_ell. At i - 1 = 1
     # the deeper set is the root alone, within g(k, ell, 1) = 1.
     u2_set = dichotomy.vertices
-    deeper = minimal_dominating_subset(graph, layers.layer(i - 2), u2_set)
+    deeper = minimal_dominating_subset(graph, layers.layers[i - 2], u2_set)
     witness = _u_overflow_witness(graph, layers, i - 1, k, ell, u2_set, deeper)
     if witness is not None:
         return witness

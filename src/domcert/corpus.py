@@ -18,7 +18,7 @@ from __future__ import annotations
 import random
 from collections import Counter
 from importlib import resources
-from typing import Iterable, Iterator, Optional, Sequence
+from typing import Iterable, Iterator, Sequence
 
 from .errors import PreconditionError
 from .graph_core import (
@@ -86,30 +86,25 @@ def canonical_graph6(graph: Graph) -> str:
     """
     if graph.n == 0:
         return to_graph6(graph)
-    best: Optional[str] = None
 
-    def search(cells: list[tuple[int, ...]]) -> None:
-        nonlocal best
+    def search(cells: list[tuple[int, ...]]) -> str:
+        """The least leaf encoding below cells."""
         target = next((idx for idx, c in enumerate(cells) if len(c) > 1), None)
         if target is None:
-            order = [v for (v,) in cells]
-            encoded = to_graph6(graph.relabel(order))
-            if best is None or encoded < best:
-                best = encoded
-            return
+            return to_graph6(graph.relabel([v for (v,) in cells]))
         cell = cells[target]
         explored: list = []
+        leaves = []
         for v in cell:
             rest = tuple(u for u in cell if u != v)
             child = _refine(graph, cells[:target] + [(v,), rest] + cells[target + 1:])
             if any(maps_onto(child) for maps_onto in explored):
                 continue
-            search(child)
+            leaves.append(search(child))
             explored.append(_automorphism_test(graph.masks, child))
+        return min(leaves)
 
-    search(_refine(graph, [tuple(range(graph.n))]))
-    assert best is not None
-    return best
+    return search(_refine(graph, [tuple(range(graph.n))]))
 
 
 def _automorphism_test(masks, cells: list[tuple[int, ...]]):

@@ -66,9 +66,6 @@ class Graph:
         """All edges as (u, v) pairs with u < v, sorted."""
         return [(u, v) for u in range(self.n) for v in sorted(self.adj[u]) if u < v]
 
-    def edge_count(self) -> int:
-        return sum(len(nbrs) for nbrs in self.adj) // 2
-
     def relabel(self, order: Sequence[int]) -> "Graph":
         """Graph with vertex order[i] renamed to i; order must be a permutation."""
         index = {v: i for i, v in enumerate(order)}
@@ -82,15 +79,9 @@ class Graph:
 
 @dataclass(frozen=True)
 class LayerDecomposition:
-    """BFS layers from a root: layers[i] holds the vertices at distance exactly i."""
+    """BFS layers from a root: layers[i], for i = 0..depth, holds the vertices at distance i."""
 
     layers: tuple[frozenset[int], ...]
-
-    def layer(self, i: int) -> frozenset[int]:
-        """Layer i, empty beyond the last nonempty one."""
-        if 0 <= i < len(self.layers):
-            return self.layers[i]
-        return frozenset()
 
     @property
     def depth(self) -> int:

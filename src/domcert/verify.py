@@ -320,7 +320,7 @@ def _suite_roundtrip(seed: int, corpus: _Corpus) -> str:
         if back.n != graph.n or back.adj != graph.adj:
             raise _Failed(f"round-trip broke {encoded}")
     truncated = parse_graph6("D?")
-    if truncated.n != 5 or truncated.edge_count() != 0:
+    if truncated.n != 5 or truncated.edges():
         raise _Failed("'D?' did not decode to 5 isolated vertices")
     pair = parse_graph6("A_")
     if pair.n != 2 or pair.edges() != [(0, 1)]:

@@ -10,6 +10,7 @@ from hypothesis import example, given, strategies as st
 
 from conftest import connected_graphs, graphs
 from domcert.bound_engine import (
+    _layer_stages,
     _pigeonhole,
     construct_dominating_set,
     dominate_layer,
@@ -213,22 +214,26 @@ class TestDominateLayer:
         s3 = gen_s_star(3)
         assert dominate_layer(s3, bfs_layers(s3, 0), 2) == {1, 2, 3}
 
-    def test_shallow_layer_rejected(self):
+    @pytest.mark.parametrize("i", [-3, 0, 1])
+    def test_shallow_layer_rejected(self, i):
         p5 = gen_path(5)
-        with pytest.raises(PreconditionError):
-            dominate_layer(p5, bfs_layers(p5, 0), 1)
+        with pytest.raises(PreconditionError, match="i >= 2"):
+            dominate_layer(p5, bfs_layers(p5, 0), i)
 
-    def test_empty_layer_rejected(self):
+    @pytest.mark.parametrize("i", [2, 5])
+    def test_empty_layer_rejected(self, i):
         k4 = gen_complete(4)
         with pytest.raises(PreconditionError, match="empty"):
-            dominate_layer(k4, bfs_layers(k4, 0), 2)
+            dominate_layer(k4, bfs_layers(k4, 0), i)
 
     @given(connected_graphs(min_n=3, max_n=8))
     def test_dominates_unconditionally(self, g):
         layers = bfs_layers(g, 0)
         for i in range(2, layers.depth + 1):
             cover = dominate_layer(g, layers, i)
-            assert layers.layer(i) <= closed_neighborhood(g, cover)
+            assert layers.layers[i] <= closed_neighborhood(g, cover)
+            _, u_set, residual, _ = _layer_stages(g, layers, i)
+            assert residual == layers.layers[i] - closed_neighborhood(g, u_set)
 
 
 class TestConstructDominatingSet:
@@ -359,15 +364,17 @@ class TestWitnessExtraction:
             layers = bfs_layers(host, 0)
             assert extract_forbidden_witness(host, layers, 2, 3, ell) is None
 
-    def test_shallow_layer_rejected(self):
+    @pytest.mark.parametrize("i", [-3, 0, 1])
+    def test_shallow_layer_rejected(self, i):
         p5 = gen_path(5)
-        with pytest.raises(PreconditionError):
-            extract_forbidden_witness(p5, bfs_layers(p5, 0), 1, 2, 2)
+        with pytest.raises(PreconditionError, match="i >= 2"):
+            extract_forbidden_witness(p5, bfs_layers(p5, 0), i, 2, 2)
 
-    def test_empty_layer_rejected(self):
+    @pytest.mark.parametrize("i", [2, 5])
+    def test_empty_layer_rejected(self, i):
         k4 = gen_complete(4)
         with pytest.raises(PreconditionError, match="empty"):
-            extract_forbidden_witness(k4, bfs_layers(k4, 0), 2, 2, 2)
+            extract_forbidden_witness(k4, bfs_layers(k4, 0), i, 2, 2)
 
     def test_bad_parameters_rejected(self):
         p5 = gen_path(5)

@@ -244,13 +244,24 @@ class TestFixtureCorpus:
         packaged = fixture_path().read_text().splitlines(keepends=True)
         assert path.read_text() == "".join(packaged[:31])
 
-    def test_relabelled_lines_are_fixed_points(self):
+    def test_relabelled_lines_are_fixed_points(self, monkeypatch):
         # Covers n = 6 to 8, which the fresh enumeration above leaves out.
+        # The leaves of the search (its to_graph6 calls) are counted too: the
+        # automorphism pruning keeps them at or below 12138 on this corpus.
+        leaves = 0
+
+        def counting_to_graph6(graph: Graph) -> str:
+            nonlocal leaves
+            leaves += 1
+            return to_graph6(graph)
+
+        monkeypatch.setattr("domcert.corpus.to_graph6", counting_to_graph6)
         rng = random.Random(6)
         for g in corpus_graphs():
             perm = list(range(g.n))
             rng.shuffle(perm)
             assert canonical_graph6(relabel(g, perm)) == to_graph6(g)
+        assert leaves <= 12138
 
     def test_corpus_graphs_honours_cutoff(self):
         sizes = {g.n for g in corpus_graphs() if g.n <= 4}
