@@ -171,11 +171,11 @@ def _parse_family_list(text: str) -> list[Graph]:
 # loads the input, writes "command", "input" and "parameters" and encodes results
 # ---------------------------------------------------------------------------
 
-def _check_bound_budget(args, flags: tuple[str, ...], top: int) -> None:
-    """Refuse the given flags above MAX_BOUND_PARAM, then f(k, l, i) for 2 <= i <= top
-    above MAX_BOUND_BITS, before a handler computes any bound."""
-    for flag in flags:
-        value = getattr(args, flag)
+def _check_bound_budget(args, top: int) -> None:
+    """Refuse the command's bound options above MAX_BOUND_PARAM, then f(k, l, i) for
+    2 <= i <= top above MAX_BOUND_BITS, before a handler computes any bound."""
+    for flag in ("k", "l", "i", "m", "layer"):
+        value = getattr(args, flag, None)
         if value is not None and value > MAX_BOUND_PARAM:
             raise UsageError(f"--{flag} {value} is above the limit of {MAX_BOUND_PARAM}")
     # Non-positive k or l: left to the handler's own check, which names them.
@@ -214,7 +214,7 @@ def _cmd_dominate(args, graph: Graph) -> tuple[dict, int]:
     # An empty or disconnected graph, or a partial k/l/m, gets the construction's own error.
     if None not in (k, ell, m) and is_connected(graph):
         root = min_eccentricity_vertex(graph) if root is None else root
-        _check_bound_budget(args, ("k", "l", "m"), max(m - 2, bfs_layers(graph, root).depth))
+        _check_bound_budget(args, max(m - 2, bfs_layers(graph, root).depth))
     dominating, bound = construct_dominating_set(
         graph,
         root=root,
@@ -238,7 +238,7 @@ def _cmd_witness(args, graph: Graph) -> tuple[dict, int]:
     if args.root is None:
         args.root = min_eccentricity_vertex(graph)
     layers = bfs_layers(graph, args.root)
-    _check_bound_budget(args, ("k", "l", "layer"), args.layer)
+    _check_bound_budget(args, args.layer)
     witness = extract_forbidden_witness(graph, layers, args.layer, args.k, args.l)
     witnesses = [] if witness is None else [witness]
     return {"result": {"found": witness is not None}, "witnesses": witnesses}, 0
@@ -253,7 +253,7 @@ def _cmd_leq(args, graph: None) -> tuple[dict, int]:
 def _cmd_bounds(args, graph: None) -> tuple[dict, int]:
     if (args.i is None) == (args.m is None):
         raise UsageError("bounds needs exactly one of --i or --m")
-    _check_bound_budget(args, ("k", "l", "i", "m"), args.i if args.i is not None else args.m - 2)
+    _check_bound_budget(args, args.i if args.i is not None else args.m - 2)
     ramsey = ramsey_upper(args.k, args.l)
     if args.i is not None:
         result = {

@@ -123,13 +123,9 @@ def maximal_independent_subset(graph: Graph, pool: Iterable[int]) -> frozenset[i
 
 def is_independent(graph: Graph, subset: Iterable[int]) -> bool:
     """True iff no two subset vertices are adjacent."""
-    vs = sorted(set(subset))
+    vs = set(subset)
     _check_ids(graph, vs)
-    return all(
-        not graph.has_edge(vs[i], vs[j])
-        for i in range(len(vs))
-        for j in range(i + 1, len(vs))
-    )
+    return all(graph.adj[v].isdisjoint(vs) for v in vs)
 
 
 def private_neighbors(
@@ -143,7 +139,10 @@ def private_neighbors(
     """
     order = sorted(dominators)
     _check_ids(graph, order)
-    target_mask = sum(1 << t for t in set(targets) if 0 <= t < graph.n)
+    target_set = set(targets)
+    target_mask = sum(1 << t for t in target_set if 0 <= t < graph.n)
+    if target_mask.bit_count() < len(target_set):
+        raise PreconditionError("target set has a vertex outside the graph")
     closed = [(graph.masks[u] | 1 << u) & target_mask for u in order]
     once = twice = 0  # targets dominated by at least one, at least two dominators
     for mask in closed:

@@ -59,9 +59,6 @@ class Graph:
         """Open neighbourhoods as bitmasks: bit u of masks[v] is set iff uv is an edge."""
         return tuple(sum(1 << u for u in nbrs) for nbrs in self.adj)
 
-    def has_edge(self, u: int, v: int) -> bool:
-        return v in self.adj[u]
-
     def edges(self) -> list[tuple[int, int]]:
         """All edges as (u, v) pairs with u < v, sorted."""
         return [(u, v) for u in range(self.n) for v in sorted(self.adj[u]) if u < v]

@@ -26,18 +26,16 @@ class Embedding:
 
 
 def verify_embedding(host: Graph, pattern: Graph, embedding: Embedding) -> bool:
-    """Check injectivity and the induced condition edge by edge."""
+    """Injective m with N(m[p]) & image == m(N(p)) for all p: induced, as no graph has loops."""
     m = embedding.mapping
+    image = set(m)
     if len(m) != pattern.n:
         return False
-    if len(set(m)) != len(m):
+    if len(image) != len(m):
         return False
     if any(not 0 <= v < host.n for v in m):
         return False
-    for p, q in combinations(range(pattern.n), 2):
-        if pattern.has_edge(p, q) != host.has_edge(m[p], m[q]):
-            return False
-    return True
+    return all(host.adj[m[p]] & image == {m[q] for q in pattern.adj[p]} for p in range(pattern.n))
 
 
 def contains_induced(host: Graph, pattern: Graph) -> Optional[Embedding]:

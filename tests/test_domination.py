@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import hashlib
+import random
 from itertools import combinations
 
 import pytest
@@ -39,6 +40,11 @@ def reference_alpha(graph):
             if is_independent(graph, subset):
                 return size
     return 0
+
+
+def reference_is_independent(graph, subset):
+    """Literal pairwise check: no two members are adjacent."""
+    return not any(v in graph.adj[u] for u, v in combinations(sorted(set(subset)), 2))
 
 
 def reference_minimal_dominating_subset(graph, candidates, targets):
@@ -222,6 +228,21 @@ class TestMinimalDominatingSubset:
         assert got == reference_minimal_dominating_subset(g, candidates, targets)
 
 
+class TestIsIndependent:
+    def test_matches_pairwise_reference_on_corpus(self):
+        rng = random.Random(26)
+        hosts = [g for g in corpus_graphs() if g.n <= 7]
+        seen = set()
+        for _ in range(20000):
+            g = rng.choice(hosts)
+            # Drawn with replacement, so members may repeat.
+            subset = rng.choices(range(g.n), k=rng.randint(0, g.n))
+            expected = reference_is_independent(g, subset)
+            assert is_independent(g, subset) is expected
+            seen.add(expected)
+        assert seen == {True, False}
+
+
 class TestMaximalIndependentSubset:
     def test_complete_singleton(self):
         assert maximal_independent_subset(gen_complete(5), range(5)) == {0}
@@ -238,7 +259,7 @@ class TestMaximalIndependentSubset:
         chosen = maximal_independent_subset(g, pool)
         assert is_independent(g, chosen)
         for v in pool - chosen:
-            assert any(g.has_edge(v, u) for u in chosen)
+            assert any(u in g.adj[v] for u in chosen)
 
 
 class TestPrivateNeighbors:
@@ -270,7 +291,9 @@ class TestPrivateNeighbors:
             assert closed & reduced == {u}
 
     def test_stray_target_never_private(self):
-        assert private_neighbors(gen_path(3), frozenset({1}), {0, -1}) == {1: 0}
+        # Refused, not dropped, and never read as vertex 2.
+        with pytest.raises(PreconditionError, match="outside the graph"):
+            private_neighbors(gen_path(3), frozenset({1}), {0, -1})
 
     @given(dominated_pairs())
     def test_matches_reference_scan(self, case):
@@ -301,6 +324,7 @@ P3 = gen_path(3)
         (lambda: private_neighbors(P3, frozenset({-1}), {0}), GraphConstructionError),
         (lambda: private_neighbors(P3, frozenset({1, 5}), {0}), GraphConstructionError),
         (lambda: private_neighbors(P3, frozenset({1}), {5}), PreconditionError),
+        (lambda: private_neighbors(P3, frozenset({1}), {0, 5}), PreconditionError),
     ],
 )
 def test_vertex_ids_outside_graph(call, error):

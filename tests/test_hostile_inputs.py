@@ -1,0 +1,89 @@
+"""Hostile CLI requests that are refused cleanly today: exit 2 and one error line,
+within a wall-time and a peak-RSS ceiling.
+
+Each request runs in a child interpreter that caps its own address space before
+it calls cli.main, so a regression fails its entry instead of exhausting the
+machine; nothing outside the child is limited. An entry lands with the change
+that makes the CLI refuse it, never ahead of it as an expected failure.
+"""
+
+from __future__ import annotations
+
+import os
+import random
+import subprocess
+import sys
+import time
+
+import pytest
+
+import domcert
+from domcert.corpus import erdos_renyi
+from domcert.graph_core import gen_path, to_graph6
+
+ADDRESS_SPACE = 1 << 30
+# Each request took at most 0.8 s and 21 MB on a 2-vCPU VM, interpreter start
+# included; a bare interpreter with domcert imported peaks near 17 MB.
+WALL_CEILING_S = 5.0
+RSS_CEILING_MB = 64
+
+# Runs the request under the address-space cap, then copies the child's peak RSS
+# line to the file named by the first argument. VmHWM starts afresh at exec;
+# ru_maxrss would report the forking test process's RSS when that is larger.
+CHILD = f"""
+import resource, sys
+resource.setrlimit(resource.RLIMIT_AS, ({ADDRESS_SPACE}, resource.getrlimit(resource.RLIMIT_AS)[1]))
+from domcert import cli
+status = cli.main(sys.argv[2:])
+with open("/proc/self/status") as proc, open(sys.argv[1], "w") as out:
+    out.writelines(line for line in proc if line.startswith("VmHWM:"))
+sys.exit(status)
+"""
+
+# (argv, bytes of the input file or None); "{input}" in argv names that file.
+HOSTILE = {
+    "graph6-order-258047": (["gamma", "--graph6", "~}~~"], None),
+    "edgelist-order-258048": (
+        ["gamma", "--input", "{input}", "--format", "edgelist"],
+        b"258048 0\n",
+    ),
+    "undecodable-input": (["gamma", "--input", "{input}"], b"\xff\xfe\x00A_"),
+    "double-dash-value": (["gamma", "--graph6=--"], None),
+    "bounds-parameter-129": (["bounds", "--k", "129", "--l", "2", "--i", "2"], None),
+    "bounds-too-many-bits": (["bounds", "--k", "10", "--l", "10", "--m", "8"], None),
+    "gen-complete-5000": (["gen", "--family", "complete", "--size", "5000"], None),
+    "dominate-deep-layers": (
+        ["dominate", "--graph6", to_graph6(gen_path(30)), "--k", "3", "--l", "3", "--m", "6"],
+        None,
+    ),
+    "gamma-node-budget": (
+        ["gamma", "--graph6", to_graph6(erdos_renyi(50, 0.08, random.Random(0)))],
+        None,
+    ),
+}
+
+
+@pytest.mark.parametrize("argv, content", HOSTILE.values(), ids=HOSTILE.keys())
+def test_refused_within_ceilings(argv, content, tmp_path):
+    path = tmp_path / "input"
+    if content is not None:
+        path.write_bytes(content)
+    argv = [str(path) if arg == "{input}" else arg for arg in argv]
+    rss_file = tmp_path / "maxrss"
+    src = os.path.dirname(os.path.dirname(domcert.__file__))
+    start = time.perf_counter()
+    run = subprocess.run(
+        [sys.executable, "-c", CHILD, str(rss_file), *argv],
+        env={**os.environ, "PYTHONPATH": src},
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+    elapsed = time.perf_counter() - start
+    assert run.returncode == 2, run.stderr
+    assert run.stdout == ""
+    assert run.stderr.startswith("error: ") and run.stderr.count("\n") == 1, run.stderr
+    assert "Traceback" not in run.stderr
+    assert elapsed < WALL_CEILING_S
+    peak_kib = int(rss_file.read_text().split()[1])
+    assert peak_kib / 1024 < RSS_CEILING_MB

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import hashlib
+import random
 from itertools import combinations, permutations
 
 from hypothesis import given
@@ -42,6 +43,48 @@ def reference_scan(host, pattern):
             if verify_embedding(host, pattern, Embedding(perm)):
                 return Embedding(perm)
     return None
+
+
+def reference_verify_embedding(host, pattern, mapping):
+    """Literal pairwise check: each pattern pair is an edge iff its image pair is."""
+    if len(mapping) != pattern.n or len(set(mapping)) != len(mapping):
+        return False
+    if any(not 0 <= v < host.n for v in mapping):
+        return False
+    return all(
+        (q in pattern.adj[p]) == (mapping[q] in host.adj[mapping[p]])
+        for p, q in combinations(range(pattern.n), 2)
+    )
+
+
+def random_triple(rng, graphs):
+    """A corpus host, a pattern and a mapping of the pattern's length. The
+    pattern is half the time a corpus graph and otherwise the host's induced
+    subgraph on the mapping, which the mapping then embeds; most mappings are
+    then disturbed: shortened, lengthened, sent out of range, given a repeated
+    image or moved to an unused host vertex."""
+    host, pattern = rng.choice(graphs), rng.choice(graphs)
+    if rng.random() < 0.5 or pattern.n > host.n:
+        mapping = rng.sample(range(host.n), rng.randint(0, host.n))
+        pairs = combinations(range(len(mapping)), 2)
+        pattern = from_edge_list(
+            len(mapping), [(p, q) for p, q in pairs if mapping[q] in host.adj[mapping[p]]]
+        )
+    else:
+        mapping = rng.sample(range(host.n), pattern.n)
+    unused = sorted(set(range(host.n)) - set(mapping))
+    disturb = rng.randrange(6)
+    if disturb == 0 and mapping:
+        mapping.pop()
+    elif disturb == 1:
+        mapping.append(rng.randrange(host.n))
+    elif disturb == 2 and mapping:
+        mapping[rng.randrange(len(mapping))] = rng.choice((-1, host.n, host.n + 3))
+    elif disturb == 3 and len(mapping) > 1:
+        mapping[0] = mapping[-1]
+    elif disturb == 4 and mapping and unused:
+        mapping[rng.randrange(len(mapping))] = rng.choice(unused)
+    return host, pattern, Embedding(tuple(mapping))
 
 
 # sha256 over repr(contains_induced(host, pattern).mapping or None) + "\n" for
@@ -136,6 +179,17 @@ class TestVerifyEmbedding:
 
     def test_accepts_valid(self):
         assert verify_embedding(gen_path(3), gen_path(2), Embedding((1, 2)))
+
+    def test_matches_pairwise_reference_on_corpus(self):
+        rng = random.Random(26)
+        graphs = [g for g in corpus_graphs() if g.n <= 7]
+        seen = set()
+        for _ in range(20000):
+            host, pattern, emb = random_triple(rng, graphs)
+            expected = reference_verify_embedding(host, pattern, emb.mapping)
+            assert verify_embedding(host, pattern, emb) is expected
+            seen.add(expected)
+        assert seen == {True, False}
 
 
 class TestIsFree:
