@@ -184,7 +184,7 @@ def dominate_layer(graph: Graph, layers: LayerDecomposition, i: int) -> frozense
     f(k, ell, i) whenever the graph is {K*_k, S*_ell}-free.
     """
     _, u_set, _, x0_set = _layer_stages(graph, layers, i)
-    return frozenset(u_set | x0_set)
+    return u_set | x0_set
 
 
 @dataclass(frozen=True)
@@ -240,41 +240,27 @@ def construct_dominating_set(
     if root is None:
         root = min_eccentricity_vertex(graph)
     layers = bfs_layers(graph, root)
-    dominating = {root}
-    layer_sizes = []
-    for i in range(2, layers.depth + 1):
-        hat_u = dominate_layer(graph, layers, i)
-        dominating |= hat_u
-        layer_sizes.append(len(hat_u))
-    total_size = 1 + sum(layer_sizes)
-
-    layer_bounds = total_bound = bound_held = None
-    freeness_checked = False
+    layer_sets = [dominate_layer(graph, layers, i) for i in range(2, layers.depth + 1)]
+    sizes = tuple(map(len, layer_sets))
+    total_size = 1 + sum(sizes)
+    bound_fields = {}
     if k is not None:
-        layer_bounds = tuple(
-            f_value(k, ell, i) for i in range(2, layers.depth + 1)
-        )
+        layer_bounds = tuple(f_value(k, ell, i) for i in range(2, layers.depth + 1))
         total_bound = theorem_bound(k, ell, m)
-        bound_held = total_size <= total_bound and all(
-            size <= bound for size, bound in zip(layer_sizes, layer_bounds)
+        bound_fields = dict(
+            k=k,
+            ell=ell,
+            m=m,
+            layer_bounds=layer_bounds,
+            total_bound=total_bound,
+            bound_held=total_size <= total_bound
+            and all(size <= bound for size, bound in zip(sizes, layer_bounds)),
+            freeness_checked=bool(
+                verify_freeness and is_free(graph, [gen_k_star(k), gen_s_star(ell), gen_path(m)])
+            ),
         )
-        if verify_freeness:
-            patterns = [gen_k_star(k), gen_s_star(ell), gen_path(m)]
-            freeness_checked = bool(is_free(graph, patterns))
-
-    report = BoundReport(
-        root=root,
-        layer_sizes=tuple(layer_sizes),
-        total_size=total_size,
-        k=k,
-        ell=ell,
-        m=m,
-        layer_bounds=layer_bounds,
-        total_bound=total_bound,
-        bound_held=bound_held,
-        freeness_checked=freeness_checked,
-    )
-    return frozenset(dominating), report
+    report = BoundReport(root, sizes, total_size, **bound_fields)
+    return frozenset({root}.union(*layer_sets)), report
 
 
 # ---------------------------------------------------------------------------

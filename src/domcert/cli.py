@@ -33,6 +33,8 @@ from .domination import gamma_exact, is_dominating
 from .errors import DomcertError
 from .graph_core import (
     Graph,
+    _decode_size,
+    _edge_list_header,
     bfs_layers,
     gen_complete,
     gen_empty,
@@ -99,13 +101,15 @@ def _load_graph(args: argparse.Namespace) -> tuple[Graph, dict]:
                 text = handle.read()
         except (OSError, UnicodeDecodeError) as exc:
             raise UsageError(f"cannot read {args.input}: {exc}") from exc
+    # Refused by the order in the size field or header, before a large body is decoded.
     if args.format == "graph6":
-        lines = [line for line in text.splitlines() if line.strip()] or [text]
-        graph = parse_graph6(lines[0])
+        text = ([line for line in text.splitlines() if line.strip()] or [text])[0]
+        n = _decode_size(text)[1]
     else:
-        graph = parse_edge_list(text)
-    if graph.n > MAX_VERTICES:
-        raise UsageError(f"graph has {graph.n} vertices, above the limit of {MAX_VERTICES}")
+        n = _edge_list_header(text)[1]
+    if n > MAX_VERTICES:
+        raise UsageError(f"graph has {n} vertices, above the limit of {MAX_VERTICES}")
+    graph = parse_graph6(text) if args.format == "graph6" else parse_edge_list(text)
     descriptor = {
         "source": source,
         "format": args.format,

@@ -135,7 +135,8 @@ def private_neighbors(
 
     A private target of u is a target vertex dominated by u and by no other
     dominator. Minimality of the dominating set over the targets guarantees
-    one exists for every dominator; absence means the precondition was broken.
+    one exists for every dominator; absence means the precondition was broken,
+    as does a target that no dominator covers.
     """
     order = sorted(dominators)
     _check_ids(graph, order)
@@ -148,6 +149,8 @@ def private_neighbors(
     for mask in closed:
         twice |= once & mask
         once |= mask
+    if target_mask & ~once:
+        raise PreconditionError("dominators do not dominate the target set")
     private: dict[int, int] = {}
     for u, mask in zip(order, closed):
         mine = mask & ~twice

@@ -16,7 +16,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, Iterator, Optional, Sequence
 
 from .errors import (
     DisconnectedGraphError,
@@ -136,15 +136,7 @@ _BIT_OFFSETS = tuple(tuple(j for j in range(6) if val >> (5 - j) & 1) for val in
 def _parse_graph6(text: str, shared: _Neighbourhoods) -> Graph:
     """parse_graph6 that takes each neighbourhood from shared by its bitmask: one
     table kept across many calls makes equal neighbourhoods one frozenset."""
-    s = text.strip()
-    if s.startswith(GRAPH6_HEADER):
-        s = s[len(GRAPH6_HEADER):]
-    if not s:
-        raise Graph6FormatError("empty graph6 string")
-    bad = _OUTSIDE_GRAPH6.search(s)
-    if bad:
-        raise Graph6FormatError(f"character {bad.group()!r} outside graph6 range [63,126]")
-    n, offset = _decode_size(s)
+    s, n, offset = _decode_size(text)
     nbits = n * (n - 1) // 2
     nbytes = (nbits + 5) // 6
     if len(s) - offset > nbytes:
@@ -180,16 +172,25 @@ def to_graph6(graph: Graph) -> str:
     return (size + body).decode("ascii")
 
 
-def _decode_size(s: str) -> tuple[int, int]:
-    """The order n of a graph6 string and the offset of its body."""
+def _decode_size(text: str) -> tuple[str, int, int]:
+    """A graph6 line stripped of whitespace and header, its order n and the offset
+    of its body, after every check that reads no bit of the body."""
+    s = text.strip()
+    if s.startswith(GRAPH6_HEADER):
+        s = s[len(GRAPH6_HEADER):]
+    if not s:
+        raise Graph6FormatError("empty graph6 string")
+    bad = _OUTSIDE_GRAPH6.search(s)
+    if bad:
+        raise Graph6FormatError(f"character {bad.group()!r} outside graph6 range [63,126]")
     if s[0] != "~":
-        return ord(s[0]) - 63, 1
+        return s, ord(s[0]) - 63, 1
     if len(s) < 4 or s[1] == "~":
         raise Graph6FormatError("unsupported or truncated graph6 size field")
     n = 0
     for c in s[1:4]:
         n = (n << 6) | (ord(c) - 63)
-    return n, 4
+    return s, n, 4
 
 
 def _encode_size(n: int) -> bytes:
@@ -215,23 +216,27 @@ def _int_pair(line: str, what: str, shape: str) -> tuple[int, int]:
         raise EdgeListFormatError(f"non-integer {what} {line!r}") from exc
 
 
-def parse_edge_list(text: str) -> Graph:
-    """Parse the edge-list text format."""
-    lines = []
-    for raw in text.splitlines():
-        line = raw.split("#", 1)[0].strip()
-        if line:
-            lines.append(line)
-    if not lines:
+def _edge_list_header(text: str) -> tuple[Iterator[str], int, int]:
+    """The nonblank lines of an edge list after its header, without comments, and n
+    and m from the header, refusing an order past the graph6 limit, so both formats
+    accept the same orders. Parses no line after the header."""
+    lines = (line for raw in text.splitlines() if (line := raw.split("#", 1)[0].strip()))
+    header = next(lines, None)
+    if header is None:
         raise EdgeListFormatError("empty edge-list input")
-    n, m = _int_pair(lines[0], "header", "n m")
-    # The graph6 limit, so both formats accept the same orders; checked before
-    # any vertex is built.
+    n, m = _int_pair(header, "header", "n m")
     if n > _GRAPH6_MAX_N:
         raise EdgeListFormatError(f"graph order {n} exceeds the graph6 limit of {_GRAPH6_MAX_N}")
-    if len(lines) - 1 != m:
-        raise EdgeListFormatError(f"expected {m} edge lines, found {len(lines) - 1}")
-    edges = [_int_pair(line, "edge line", "u v") for line in lines[1:]]
+    return lines, n, m
+
+
+def parse_edge_list(text: str) -> Graph:
+    """Parse the edge-list text format."""
+    rest, n, m = _edge_list_header(text)
+    lines = list(rest)
+    if len(lines) != m:
+        raise EdgeListFormatError(f"expected {m} edge lines, found {len(lines)}")
+    edges = [_int_pair(line, "edge line", "u v") for line in lines]
     try:
         return from_edge_list(n, edges)
     except GraphConstructionError as exc:

@@ -10,6 +10,7 @@ from hypothesis import example, given, strategies as st
 
 from conftest import connected_graphs, graphs
 from domcert.bound_engine import (
+    BoundReport,
     _layer_stages,
     _pigeonhole,
     construct_dominating_set,
@@ -236,7 +237,77 @@ class TestDominateLayer:
             assert residual == layers.layers[i] - closed_neighborhood(g, u_set)
 
 
+def reference_construction(g, params, verify_freeness):
+    """The construction restated literally: the set, and the report's fields by name."""
+    root = min(range(g.n), key=lambda v: (bfs_layers(g, v).depth, v))
+    layers = bfs_layers(g, root)
+    dominating, sizes = {root}, []
+    for i in range(2, layers.depth + 1):
+        layer_set = dominate_layer(g, layers, i)
+        dominating |= layer_set
+        sizes.append(len(layer_set))
+    total = 1 + sum(sizes)
+    fields = {
+        "root": root,
+        "layer_sizes": tuple(sizes),
+        "total_size": total,
+        "k": None,
+        "ell": None,
+        "m": None,
+        "layer_bounds": None,
+        "total_bound": None,
+        "bound_held": None,
+        "freeness_checked": False,
+    }
+    if params is not None:
+        k, ell, m = params
+        bounds = tuple(f_value(k, ell, i) for i in range(2, layers.depth + 1))
+        total_bound = theorem_bound(k, ell, m)
+        held = total <= total_bound
+        for size, bound in zip(sizes, bounds):
+            held = held and size <= bound
+        patterns = [gen_k_star(k), gen_s_star(ell), gen_path(m)]
+        fields.update(
+            k=k,
+            ell=ell,
+            m=m,
+            layer_bounds=bounds,
+            total_bound=total_bound,
+            bound_held=held,
+            freeness_checked=verify_freeness and is_free(g, patterns).free,
+        )
+    return frozenset(dominating), fields
+
+
+def typed(fields):
+    """Each value with its type, so that True and 1 differ as they do in a report."""
+    return {name: (type(value), value) for name, value in fields.items()}
+
+
 class TestConstructDominatingSet:
+    @given(
+        connected_graphs(max_n=8),
+        st.none() | st.tuples(st.integers(1, 3), st.integers(1, 3), st.integers(1, 7)),
+        st.booleans(),
+    )
+    @example(gen_complete(5), (3, 2, 5), True)  # bound held, graph free
+    @example(gen_path(8), (2, 2, 5), True)  # bound failed, P_5 induced
+    @example(gen_path(8), (2, 2, 5), False)
+    @example(gen_s_star(3), (2, 2, 7), False)  # total within its bound, layer 2 above f
+    def test_matches_literal_reference(self, g, params, verify_freeness):
+        verify_freeness = verify_freeness and params is not None
+        k, ell, m = params or (None, None, None)
+        dominating, report = construct_dominating_set(
+            g, k=k, ell=ell, m=m, verify_freeness=verify_freeness
+        )
+        expected, fields = reference_construction(g, params, verify_freeness)
+        assert dominating == expected
+        assert typed(vars(report)) == typed(fields)
+        if params is None:
+            assert report == BoundReport(
+                fields["root"], fields["layer_sizes"], fields["total_size"]
+            )
+
     def test_complete_single_vertex(self):
         for root in (0, 3):
             dominating, report = construct_dominating_set(gen_complete(5), root=root)

@@ -441,6 +441,26 @@ class TestInputBudgets:
         path.write_text(f"{MAX_VERTICES + 1} 1\n0 1\n")
         run_error(["gamma", "--input", str(path), "--format", "edgelist"], capsys)
 
+    @pytest.mark.parametrize(
+        "fmt, over, at, fault",
+        [
+            # 51 and 50 vertices, each with body bytes past its end.
+            ("graph6", "~??r" + "?" * 214, "~??q" + "?" * 214, "trailing garbage"),
+            ("edgelist", "51 2\n0 1\n", "50 2\n0 1\n", "expected 2 edge lines"),
+            ("edgelist", "51 1\n0 x\n", "50 1\n0 x\n", "non-integer edge line"),
+        ],
+        ids=["graph6-trailing-bytes", "edgelist-short", "edgelist-bad-line"],
+    )
+    def test_limit_reported_before_malformed_body(self, fmt, over, at, fault, tmp_path, capsys):
+        # The order is checked first; at the limit the same fault is reported.
+        path = tmp_path / "input"
+        path.write_text(over)
+        err = run_error(["gamma", "--input", str(path), "--format", fmt], capsys)
+        assert f"graph has 51 vertices, above the limit of {MAX_VERTICES}" in err
+        path.write_text(at)
+        err = run_error(["gamma", "--input", str(path), "--format", fmt], capsys)
+        assert fault in err
+
     def test_gamma_node_budget(self, capsys):
         # About a minute of search without the budget.
         graph = erdos_renyi(50, 0.05, random.Random(3))

@@ -281,6 +281,14 @@ class TestPrivateNeighbors:
         with pytest.raises(PreconditionError, match="no private"):
             private_neighbors(p3, frozenset({0, 2}), {1})
 
+    def test_undominated_target_refused(self):
+        # Refused before the private check: on P4 neither 0 nor 1 has a private
+        # target among {0, 3}, and no dominator covers 3.
+        with pytest.raises(PreconditionError, match="do not dominate"):
+            private_neighbors(gen_path(3), frozenset({0}), {0, 2})
+        with pytest.raises(PreconditionError, match="do not dominate"):
+            private_neighbors(gen_path(4), frozenset({0, 1}), {0, 3})
+
     @given(connected_graphs(min_n=2, max_n=8))
     def test_privates_are_private(self, g):
         targets = set(range(g.n))

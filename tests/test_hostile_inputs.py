@@ -22,8 +22,9 @@ from domcert.corpus import erdos_renyi
 from domcert.graph_core import gen_path, to_graph6
 
 ADDRESS_SPACE = 1 << 30
-# Each request took at most 0.8 s and 21 MB on a 2-vCPU VM, interpreter start
-# included; a bare interpreter with domcert imported peaks near 17 MB.
+# Each request took at most about 1 s and 38 MB (the 3.5 MB edge list) on a
+# 2-vCPU VM, interpreter start included; a bare interpreter with domcert
+# imported peaks near 17 MB.
 WALL_CEILING_S = 5.0
 RSS_CEILING_MB = 64
 
@@ -46,6 +47,13 @@ HOSTILE = {
     "edgelist-order-258048": (
         ["gamma", "--input", "{input}", "--format", "edgelist"],
         b"258048 0\n",
+    ),
+    # Over the vertex limit by the size field or header, with a large body after it.
+    "graph6-order-258047-1mb-body": (["gamma", "--input", "{input}"], b"~}~~" + b"~" * (1 << 20)),
+    "graph6-order-258047-4mb-body": (["gamma", "--input", "{input}"], b"~}~~" + b"~" * (4 << 20)),
+    "edgelist-star-258047-centre-last": (
+        ["gamma", "--input", "{input}", "--format", "edgelist"],
+        b"258047 258046\n" + b"".join(b"%d 258046\n" % v for v in range(258046)),
     ),
     "undecodable-input": (["gamma", "--input", "{input}"], b"\xff\xfe\x00A_"),
     "double-dash-value": (["gamma", "--graph6=--"], None),
