@@ -35,6 +35,7 @@ from .graph_core import (
     Graph,
     _decode_size,
     _edge_list_header,
+    _lines,
     bfs_layers,
     gen_complete,
     gen_empty,
@@ -103,7 +104,7 @@ def _load_graph(args: argparse.Namespace) -> tuple[Graph, dict]:
             raise UsageError(f"cannot read {args.input}: {exc}") from exc
     # Refused by the order in the size field or header, before a large body is decoded.
     if args.format == "graph6":
-        text = ([line for line in text.splitlines() if line.strip()] or [text])[0]
+        text = next((line for line in _lines(text) if line.strip()), text)
         n = _decode_size(text)[1]
     else:
         n = _edge_list_header(text)[1]

@@ -20,7 +20,7 @@ from collections import Counter
 from importlib import resources
 from typing import Iterable, Iterator, Sequence
 
-from .errors import PreconditionError
+from .errors import GraphConstructionError, PreconditionError
 from .graph_core import (
     Graph,
     _members,
@@ -173,8 +173,9 @@ def all_labeled_graphs(n: int) -> Iterator[Graph]:
     """Every labeled graph on n vertices, one per edge-subset, 2^(n(n-1)/2) total.
 
     Edge subset i is bit i of the counter, over the pairs u < v in
-    lexicographic order. Equal neighbourhoods are one shared frozenset, taken
-    by bitmask from one table for the whole enumeration.
+    lexicographic order. Each graph is built from its masks, and equal
+    neighbourhoods are one shared frozenset, taken by bitmask from one table
+    for the whole enumeration.
     """
     pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
     shared = _Neighbourhoods()
@@ -184,7 +185,7 @@ def all_labeled_graphs(n: int) -> Iterator[Graph]:
             u, v = pairs[i]
             nbrs[u] |= 1 << v
             nbrs[v] |= 1 << u
-        yield Graph(n, tuple(map(shared.__getitem__, nbrs)))
+        yield shared.trusted_graph(nbrs)
 
 
 # ---------------------------------------------------------------------------
@@ -226,11 +227,17 @@ def write_fixture(path, max_n: int = CORPUS_MAX_N) -> dict[int, int]:
 # ---------------------------------------------------------------------------
 
 def erdos_renyi(n: int, p: float, rng: random.Random) -> Graph:
-    """One draw of G(n, p) using the supplied generator."""
-    edges = [
-        (u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < p
-    ]
-    return from_edge_list(n, edges)
+    """One draw of G(n, p) using the supplied generator, one rng.random() per
+    pair u < v in lexicographic order."""
+    if n < 0:
+        raise GraphConstructionError(f"negative vertex count {n}")
+    masks = [0] * n
+    for u in range(n):
+        for v in range(u + 1, n):
+            if rng.random() < p:
+                masks[u] |= 1 << v
+                masks[v] |= 1 << u
+    return _Neighbourhoods().trusted_graph(masks)
 
 
 def sample_free_connected(
@@ -264,5 +271,5 @@ def sample_free_connected(
         attempts += 1
         graph = erdos_renyi(n, p, rng)
         if is_connected(graph) and is_free(graph, pattern_list):
-            out.append(Graph(n, tuple(map(shared.__getitem__, graph.masks))))
+            out.append(shared.trusted_graph(graph.masks))
     return out

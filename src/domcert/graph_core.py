@@ -7,6 +7,13 @@ construction kernel runs on the bitmasks ``Graph.masks``; the frozensets
 ``Graph.adj`` are read only by validation and equality, the codecs, the small
 ``Graph`` methods and the literal checkers and oracles.
 
+``Graph(n, adj)``, ``from_edge_list`` and ``Graph.relabel`` validate what they
+are given. The graph6 decoder, ``corpus.all_labeled_graphs`` and
+``corpus.erdos_renyi`` make neighbourhood masks that are symmetric and loop-free
+by construction; they build through one trusted route,
+``_Neighbourhoods.trusted_graph``, which keeps those masks as ``Graph.masks``
+and skips the validation.
+
 Vertex sets throughout the library are plain ``frozenset[int]`` / ``set[int]``
 values; there is no wrapper class.
 """
@@ -16,6 +23,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import islice
 from typing import Iterable, Iterator, Optional, Sequence
 
 from .errors import (
@@ -33,7 +41,11 @@ _GRAPH6_MAX_N = 258047
 
 @dataclass(frozen=True)
 class Graph:
-    """Simple undirected graph on vertices 0..n-1 with frozen adjacency sets."""
+    """Simple undirected graph on vertices 0..n-1 with frozen adjacency sets.
+
+    Constructing one checks that adj is in range, loop-free and symmetric; the
+    library's mask builders skip that check through _Neighbourhoods.trusted_graph.
+    """
 
     n: int
     adj: tuple[frozenset[int], ...]
@@ -126,6 +138,18 @@ class _Neighbourhoods(dict):
     def __missing__(self, mask: int) -> frozenset[int]:
         return self.setdefault(mask, frozenset(_members(mask)))
 
+    def trusted_graph(self, masks: Sequence[int]) -> Graph:
+        """The graph whose open neighbourhoods are masks, with each frozenset from
+        this table and masks kept as Graph.masks. Not validated: masks must be
+        symmetric and loop-free, with no bit at or past len(masks)."""
+        graph = object.__new__(Graph)
+        # Set one by one in field order, as Graph.__init__ does, so the instance
+        # keeps its compact attribute storage (no materialised __dict__).
+        object.__setattr__(graph, "n", len(masks))
+        object.__setattr__(graph, "adj", tuple(map(self.__getitem__, masks)))
+        object.__setattr__(graph, "masks", tuple(masks))
+        return graph
+
 
 _OUTSIDE_GRAPH6 = re.compile(r"[^?-~]")  # a character outside [63, 126]
 _NONZERO_BYTE = re.compile(r"[^?]")  # a body byte with some bit set
@@ -159,7 +183,7 @@ def _parse_graph6(text: str, shared: _Neighbourhoods) -> Graph:
             u = k - start
             masks[u] |= 1 << v
             masks[v] |= 1 << u
-    return Graph(n, tuple(map(shared.__getitem__, masks)))
+    return shared.trusted_graph(masks)
 
 
 def to_graph6(graph: Graph) -> str:
@@ -205,6 +229,16 @@ def _encode_size(n: int) -> bytes:
 # Edge-list text format: first line "n m", then m lines "u v"; '#' comments.
 # ---------------------------------------------------------------------------
 
+# A nonempty run of characters between the line boundaries of str.splitlines.
+_LINE = re.compile("[^\n\r\v\f\x1c\x1d\x1e\x85\u2028\u2029]+")
+
+
+def _lines(text: str) -> Iterator[str]:
+    """The nonempty lines of text, split as by str.splitlines but found one at a
+    time, so reading the first lines of a large input splits none of the rest."""
+    return map(re.Match.group, _LINE.finditer(text))
+
+
 def _int_pair(line: str, what: str, shape: str) -> tuple[int, int]:
     """The two integers of an edge-list line; `what` names the line in errors."""
     parts = line.split()
@@ -219,8 +253,8 @@ def _int_pair(line: str, what: str, shape: str) -> tuple[int, int]:
 def _edge_list_header(text: str) -> tuple[Iterator[str], int, int]:
     """The nonblank lines of an edge list after its header, without comments, and n
     and m from the header, refusing an order past the graph6 limit, so both formats
-    accept the same orders. Parses no line after the header."""
-    lines = (line for raw in text.splitlines() if (line := raw.split("#", 1)[0].strip()))
+    accept the same orders. Reads no line after the header."""
+    lines = (line for raw in _lines(text) if (line := raw.split("#", 1)[0].strip()))
     header = next(lines, None)
     if header is None:
         raise EdgeListFormatError("empty edge-list input")
@@ -231,11 +265,17 @@ def _edge_list_header(text: str) -> tuple[Iterator[str], int, int]:
 
 
 def parse_edge_list(text: str) -> Graph:
-    """Parse the edge-list text format."""
+    """Parse the edge-list text format. A header edge count m outside
+    [0, n(n-1)/2] is refused before any edge line is read, and at most one line
+    past the m declared ones is read."""
     rest, n, m = _edge_list_header(text)
-    lines = list(rest)
+    most = n * (n - 1) // 2
+    if not 0 <= m <= most:
+        raise EdgeListFormatError(f"edge count {m} outside [0, {most}] for {n} vertices")
+    lines = list(islice(rest, m + 1))
     if len(lines) != m:
-        raise EdgeListFormatError(f"expected {m} edge lines, found {len(lines)}")
+        found = len(lines) if len(lines) < m else f"more than {m}"
+        raise EdgeListFormatError(f"expected {m} edge lines, found {found}")
     edges = [_int_pair(line, "edge line", "u v") for line in lines]
     try:
         return from_edge_list(n, edges)

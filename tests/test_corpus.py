@@ -24,7 +24,7 @@ from domcert.corpus import (
     sample_free_connected,
     write_fixture,
 )
-from domcert.errors import PreconditionError
+from domcert.errors import GraphConstructionError, PreconditionError
 from domcert.graph_core import (
     Graph,
     from_edge_list,
@@ -38,7 +38,7 @@ from domcert.graph_core import (
     to_graph6,
 )
 from domcert.subgraph import is_free
-from domcert.verify import CLAW_CONFIGS_10, claw_graph
+from domcert.verify import CLAW_CONFIGS_10, THEOREM_B_CONFIGS, claw_graph
 
 
 def relabel(graph: Graph, perm: list[int]) -> Graph:
@@ -324,3 +324,45 @@ class TestSampling:
         with pytest.raises(PreconditionError, match="at least one"):
             sample_free_connected(2, [], [], seed=1)
         assert sample_free_connected(0, [], [], seed=1) == []
+
+
+def assert_built_like_validated(built) -> None:
+    """Each graph passes Graph's validation and keeps the masks its adj gives."""
+    for g in built:
+        assert g == Graph(g.n, g.adj)
+        assert g.masks == tuple(sum(1 << u for u in nbrs) for nbrs in g.adj)
+
+
+class TestTrustedBuilder:
+    """The graph6 decoder, the enumeration and the random draws build through
+    _Neighbourhoods.trusted_graph, which skips Graph's validation."""
+
+    def test_packaged_corpus(self):
+        assert_built_like_validated(load_fixture_corpus())
+
+    def test_all_labeled_graphs(self):
+        assert_built_like_validated(all_labeled_graphs(5))
+
+    @pytest.mark.parametrize(
+        "configs, patterns",
+        [
+            (CLAW_CONFIGS_10, [claw_graph(), gen_k_star(3)]),
+            (THEOREM_B_CONFIGS, [gen_k_star(3), gen_s_star(3), gen_path(6)]),
+        ],
+        ids=["claw", "theorem-b"],
+    )
+    def test_sampled_batches(self, configs, patterns):
+        assert_built_like_validated(sample_free_connected(200, configs, patterns, seed=7))
+
+    @given(st.integers(0, 12), st.floats(0, 1), st.integers(0, 1 << 32))
+    def test_erdos_renyi_draws_like_edge_list(self, n, p, seed):
+        rng, reference = random.Random(seed), random.Random(seed)
+        g = erdos_renyi(n, p, rng)
+        assert_built_like_validated([g])
+        edges = [(u, v) for u in range(n) for v in range(u + 1, n) if reference.random() < p]
+        assert g == from_edge_list(n, edges)
+        assert rng.random() == reference.random()
+
+    def test_erdos_renyi_refuses_negative_order(self):
+        with pytest.raises(GraphConstructionError, match="negative vertex count -1"):
+            erdos_renyi(-1, 0.5, random.Random(0))

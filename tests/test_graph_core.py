@@ -21,6 +21,7 @@ from domcert.errors import (
 from domcert.graph_core import (
     GRAPH6_HEADER,
     Graph,
+    _lines,
     bfs_layers,
     closed_neighborhood,
     from_edge_list,
@@ -333,11 +334,18 @@ class TestEdgeListFormat:
             ("# a comment only\n", "empty edge-list input"),
             ("x 0\n", "non-integer header 'x 0'"),
             ("2 1\n0 1 1\n", "edge line must be 'u v', got '0 1 1'"),
+            ("3 4\n0 1\n", r"edge count 4 outside \[0, 3\] for 3 vertices"),
+            ("3 -1\n", r"edge count -1 outside \[0, 3\] for 3 vertices"),
+            ("3 1\n0 1\n1 2\n", "expected 1 edge lines, found more than 1"),
         ],
     )
     def test_malformed(self, text, message):
         with pytest.raises(EdgeListFormatError, match=message):
             parse_edge_list(text)
+
+    @given(st.text(st.sampled_from("0 #\t\n\r\v\f\x1c\x1d\x1e\x1f\x85\u2028\u2029")))
+    def test_lines_split_like_splitlines(self, text):
+        assert list(_lines(text)) == [line for line in text.splitlines() if line]
 
     def test_order_past_graph6_limit_refused(self):
         with pytest.raises(EdgeListFormatError, match="258048 exceeds the graph6 limit of 258047"):

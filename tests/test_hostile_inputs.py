@@ -22,9 +22,11 @@ from domcert.corpus import erdos_renyi
 from domcert.graph_core import gen_path, to_graph6
 
 ADDRESS_SPACE = 1 << 30
-# Each request took at most about 1 s and 38 MB (the 3.5 MB edge list) on a
-# 2-vCPU VM, interpreter start included; a bare interpreter with domcert
-# imported peaks near 17 MB.
+# Each request took at most about 1 s (the gamma node budget) and 41 MB (the
+# 12.6 MB graph6 file, read whole before its first line is taken) on a 2-vCPU
+# VM, interpreter start included; a bare interpreter with domcert imported peaks
+# near 17 MB. The files of millions of lines stay under the ceiling only
+# because no line past the first is split.
 WALL_CEILING_S = 5.0
 RSS_CEILING_MB = 64
 
@@ -54,6 +56,20 @@ HOSTILE = {
     "edgelist-star-258047-centre-last": (
         ["gamma", "--input", "{input}", "--format", "edgelist"],
         b"258047 258046\n" + b"".join(b"%d 258046\n" % v for v in range(258046)),
+    ),
+    # Refused by the first line, which is found without splitting the rest.
+    "graph6-order-258047-then-4m-lines": (
+        ["gamma", "--input", "{input}"],
+        b"~}~~\n" + b"A_\n" * (4 << 20),
+    ),
+    "edgelist-header-60-2000000": (
+        ["gamma", "--input", "{input}", "--format", "edgelist"],
+        b"60 2000000\n" + b"0 59\n" * 2000000,
+    ),
+    # Within the vertex limit, but declaring more edges than 50 vertices allow.
+    "edgelist-header-50-2000000": (
+        ["gamma", "--input", "{input}", "--format", "edgelist"],
+        b"50 2000000\n" + b"0 1\n" * 2000000,
     ),
     "undecodable-input": (["gamma", "--input", "{input}"], b"\xff\xfe\x00A_"),
     "double-dash-value": (["gamma", "--graph6=--"], None),

@@ -33,7 +33,8 @@ from domcert.subgraph import contains_induced, induced_subgraph_brute, verify_em
 FAST_ROUTE_NAMES = {"masks", "contains_induced", "gamma_exact"}
 LITERAL_NAMES = {"adj", "has_edge", "closed_neighborhood"}
 GRAPH_BUILDERS = {
-    "Graph", "induced", "relabel", "from_edge_list", "parse_graph6", "parse_edge_list"
+    "Graph", "induced", "relabel", "from_edge_list", "parse_graph6", "parse_edge_list",
+    "trusted_graph",
 }
 
 CHECKERS = [
