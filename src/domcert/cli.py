@@ -17,8 +17,9 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import locale
 import sys
-from typing import Optional
+from typing import Iterator, Optional
 
 from .bound_engine import (
     construct_dominating_set,
@@ -34,6 +35,7 @@ from .errors import DomcertError
 from .graph_core import (
     Graph,
     _decode_size,
+    _edge_list_body,
     _edge_list_header,
     _lines,
     bfs_layers,
@@ -44,7 +46,6 @@ from .graph_core import (
     gen_s_star,
     is_connected,
     min_eccentricity_vertex,
-    parse_edge_list,
     parse_graph6,
     to_graph6,
 )
@@ -94,23 +95,17 @@ def _load_graph(args: argparse.Namespace) -> tuple[Graph, dict]:
     if args.graph6 is not None:
         if args.format != "graph6":
             raise UsageError("--graph6 implies --format graph6")
-        source, text = "inline", args.graph6
+        source, graph = "inline", _read_graph(_lines(args.graph6), "graph6")
     else:
         source = args.input
         try:
-            with open(args.input) as handle:
-                text = handle.read()
+            with open(args.input, "rb") as handle:
+                # Each line of the file is read and decoded only when it is reached.
+                encoding = locale.getpreferredencoding(False)
+                pieces = (piece for raw in handle for piece in _lines(raw.decode(encoding)))
+                graph = _read_graph(pieces, args.format)
         except (OSError, UnicodeDecodeError) as exc:
             raise UsageError(f"cannot read {args.input}: {exc}") from exc
-    # Refused by the order in the size field or header, before a large body is decoded.
-    if args.format == "graph6":
-        text = next((line for line in _lines(text) if line.strip()), text)
-        n = _decode_size(text)[1]
-    else:
-        n = _edge_list_header(text)[1]
-    if n > MAX_VERTICES:
-        raise UsageError(f"graph has {n} vertices, above the limit of {MAX_VERTICES}")
-    graph = parse_graph6(text) if args.format == "graph6" else parse_edge_list(text)
     descriptor = {
         "source": source,
         "format": args.format,
@@ -118,6 +113,20 @@ def _load_graph(args: argparse.Namespace) -> tuple[Graph, dict]:
         "canonical_graph6": canonical_graph6(graph),
     }
     return graph, descriptor
+
+
+def _read_graph(pieces: Iterator[str], fmt: str) -> Graph:
+    """The graph in pieces, its nonempty lines as _lines splits them, refused above
+    MAX_VERTICES by the order in its size field or header before any later piece
+    is taken: graph6 takes no piece past its first nonblank one."""
+    if fmt == "graph6":
+        line = next((piece for piece in pieces if piece.strip()), "")
+        n = _decode_size(line)[1]
+    else:
+        rest, n, m = _edge_list_header(pieces)
+    if n > MAX_VERTICES:
+        raise UsageError(f"graph has {n} vertices, above the limit of {MAX_VERTICES}")
+    return parse_graph6(line) if fmt == "graph6" else _edge_list_body(rest, n, m)
 
 
 # Each family's generator and its vertex count at a given size.

@@ -5,7 +5,9 @@ immutable after construction, so instances can be shared freely and used as
 dict keys. One rule: kernels read masks, checkers read adj. Every search and
 construction kernel runs on the bitmasks ``Graph.masks``; the frozensets
 ``Graph.adj`` are read only by validation and equality, the codecs, the small
-``Graph`` methods and the literal checkers and oracles.
+``Graph`` methods and the literal checkers and oracles. ``LayerDecomposition``
+keeps BFS layers the same way, as one vertex mask per layer, and builds their
+frozensets only when ``layers`` is first read; root selection reads only depths.
 
 ``Graph(n, adj)``, ``from_edge_list`` and ``Graph.relabel`` validate what they
 are given. The graph6 decoder, ``corpus.all_labeled_graphs`` and
@@ -22,8 +24,9 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from functools import cached_property
-from itertools import islice
+from functools import cached_property, reduce
+from itertools import compress, islice
+from operator import or_
 from typing import Iterable, Iterator, Optional, Sequence
 
 from .errors import (
@@ -88,14 +91,20 @@ class Graph:
 
 @dataclass(frozen=True)
 class LayerDecomposition:
-    """BFS layers from a root: layers[i], for i = 0..depth, holds the vertices at distance i."""
+    """BFS layers from a root as vertex masks: bit v of masks[i], for i = 0..depth,
+    is set iff v is at distance i."""
 
-    layers: tuple[frozenset[int], ...]
+    masks: tuple[int, ...]
 
     @property
     def depth(self) -> int:
         """Index of the last nonempty layer (the root's eccentricity)."""
-        return len(self.layers) - 1
+        return len(self.masks) - 1
+
+    @cached_property
+    def layers(self) -> tuple[frozenset[int], ...]:
+        """The vertices at each distance as sets, built from masks on first read."""
+        return tuple(frozenset(_members(mask)) for mask in self.masks)
 
 
 def from_edge_list(n: int, edges: Iterable[tuple[int, int]]) -> Graph:
@@ -250,11 +259,12 @@ def _int_pair(line: str, what: str, shape: str) -> tuple[int, int]:
         raise EdgeListFormatError(f"non-integer {what} {line!r}") from exc
 
 
-def _edge_list_header(text: str) -> tuple[Iterator[str], int, int]:
+def _edge_list_header(pieces: Iterable[str]) -> tuple[Iterator[str], int, int]:
     """The nonblank lines of an edge list after its header, without comments, and n
     and m from the header, refusing an order past the graph6 limit, so both formats
-    accept the same orders. Reads no line after the header."""
-    lines = (line for raw in _lines(text) if (line := raw.split("#", 1)[0].strip()))
+    accept the same orders. pieces are the input's nonempty lines, as _lines gives
+    them; none past the header is taken."""
+    lines = (line for raw in pieces if (line := raw.split("#", 1)[0].strip()))
     header = next(lines, None)
     if header is None:
         raise EdgeListFormatError("empty edge-list input")
@@ -264,11 +274,9 @@ def _edge_list_header(text: str) -> tuple[Iterator[str], int, int]:
     return lines, n, m
 
 
-def parse_edge_list(text: str) -> Graph:
-    """Parse the edge-list text format. A header edge count m outside
-    [0, n(n-1)/2] is refused before any edge line is read, and at most one line
-    past the m declared ones is read."""
-    rest, n, m = _edge_list_header(text)
+def _edge_list_body(rest: Iterator[str], n: int, m: int) -> Graph:
+    """The graph from the lines after an edge-list header of n and m, checked and
+    read as parse_edge_list says."""
     most = n * (n - 1) // 2
     if not 0 <= m <= most:
         raise EdgeListFormatError(f"edge count {m} outside [0, {most}] for {n} vertices")
@@ -281,6 +289,13 @@ def parse_edge_list(text: str) -> Graph:
         return from_edge_list(n, edges)
     except GraphConstructionError as exc:
         raise EdgeListFormatError(str(exc)) from exc
+
+
+def parse_edge_list(text: str) -> Graph:
+    """Parse the edge-list text format. A header edge count m outside
+    [0, n(n-1)/2] is refused before any edge line is read, and at most one line
+    past the m declared ones is read."""
+    return _edge_list_body(*_edge_list_header(_lines(text)))
 
 
 # ---------------------------------------------------------------------------
@@ -312,20 +327,23 @@ def closed_neighborhood(graph: Graph, vertices: Iterable[int]) -> frozenset[int]
     return members.union(*(graph.adj[v] for v in members))
 
 
+# The bits of a mask, bit 0 first, as 0/1 bytes: compress's selectors for masks.
+_BIT_FLAGS = bytes.maketrans(b"01", b"\0\1")
+
+
 def bfs_layers(graph: Graph, root: int) -> LayerDecomposition:
     """Distance layers from root; trailing empty layers are omitted."""
     _check_ids(graph, (root,))
     masks = graph.masks
-    seen = 1 << root
-    layers = [frozenset((root,))]
+    seen = frontier = 1 << root
+    layers = [frontier]
     while True:
-        reach = 0
-        for v in layers[-1]:
-            reach |= masks[v]
-        frontier = reach & ~seen
+        # OR the neighbourhoods of the frontier's members, selected by its bits.
+        flags = bin(frontier)[:1:-1].encode().translate(_BIT_FLAGS)
+        frontier = reduce(or_, compress(masks, flags)) & ~seen
         if not frontier:
             return LayerDecomposition(tuple(layers))
-        layers.append(frozenset(_members(frontier)))
+        layers.append(frontier)
         seen |= frontier
 
 
@@ -340,7 +358,7 @@ def is_connected(graph: Graph) -> bool:
     """One BFS from vertex 0 reaches everything; the empty graph is not connected."""
     if graph.n == 0:
         return False
-    return sum(map(len, bfs_layers(graph, 0).layers)) == graph.n
+    return sum(mask.bit_count() for mask in bfs_layers(graph, 0).masks) == graph.n
 
 
 # ---------------------------------------------------------------------------

@@ -8,6 +8,7 @@ import random
 import re
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -569,6 +570,32 @@ class TestInputBudgets:
         path = tmp_path / "graph.txt"
         path.write_bytes(b"\xff\xfe\x00A_")
         err = run_error(["gamma", "--input", str(path), "--format", fmt], capsys)
+        assert f"cannot read {path}" in err
+
+    # The file is read up to the line holding the order; when that order is
+    # refused, the 4 MB after it, ending in bytes that do not decode, are never read.
+    @pytest.mark.parametrize("fmt, head", [("graph6", b"\n r\n"), ("edgelist", b"# order\n51 0\n")])
+    def test_over_limit_order_before_undecodable_bytes(self, fmt, head, tmp_path, capsys):
+        path = tmp_path / "graph.txt"
+        path.write_bytes(head + b"0 1\n" * (1 << 20) + b"\xff\xfe\n")
+        tracemalloc.start()
+        try:
+            err = run_error(["gamma", "--input", str(path), "--format", fmt], capsys)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert "graph has 51 vertices, above the limit of 50" in err
+        assert peak < 1 << 20
+
+    def test_graph6_line_before_undecodable_bytes(self, tmp_path, capsys):
+        path = tmp_path / "graph.g6"
+        path.write_bytes(to_graph6(gen_complete(4)).encode() + b"\n\xff\xfe\n")
+        assert run_json(["gamma", "--input", str(path)], capsys)["result"]["gamma"] == 1
+
+    def test_undecodable_edge_line(self, tmp_path, capsys):
+        path = tmp_path / "graph.txt"
+        path.write_bytes(b"3 2\n0 1\n1 \xff\n")
+        err = run_error(["gamma", "--input", str(path), "--format", "edgelist"], capsys)
         assert f"cannot read {path}" in err
 
 

@@ -11,6 +11,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from conftest import connected_graphs, graphs
+from domcert.corpus import erdos_renyi
 from domcert.domination import is_dominating
 from domcert.errors import (
     DisconnectedGraphError,
@@ -39,19 +40,25 @@ from domcert.graph_core import (
 from domcert.subgraph import contains_induced
 
 
+def deque_distances(graph: Graph, root: int) -> dict[int, int]:
+    """Distance from root of every vertex it reaches, by a deque BFS over `adj`."""
+    dist = {root: 0}
+    queue = deque([root])
+    while queue:
+        u = queue.popleft()
+        for w in graph.adj[u]:
+            if w not in dist:
+                dist[w] = dist[u] + 1
+                queue.append(w)
+    return dist
+
+
 def literal_center(graph: Graph) -> int:
     """Reference root: minimum eccentricity within the vertex's component, lowest
     id on ties, from one deque BFS over `adj` per vertex."""
     best = None
     for root in range(graph.n):
-        dist = {root: 0}
-        queue = deque([root])
-        while queue:
-            u = queue.popleft()
-            for w in graph.adj[u]:
-                if w not in dist:
-                    dist[w] = dist[u] + 1
-                    queue.append(w)
+        dist = deque_distances(graph, root)
         if best is None or max(dist.values()) < best[0]:
             best = (max(dist.values()), root)
     return best[1]
@@ -433,6 +440,36 @@ class TestBfsLayers:
     @given(graphs(min_n=1, max_n=12) | connected_graphs(max_n=12))
     def test_min_eccentricity_matches_literal_bfs(self, g):
         assert min_eccentricity_vertex(g) == literal_center(g)
+
+    # Orders up to 140 put layer masks past one 30-bit int digit and graphs past
+    # the one-byte graph6 size; the sparse draws leave some graphs disconnected and
+    # some roots isolated.
+    @given(
+        st.integers(1, 140),
+        st.sampled_from([0.0, 0.005, 0.02, 0.05, 0.1]),
+        st.integers(0, 2**32),
+    )
+    def test_layers_match_deque_bfs_from_every_root(self, n, p, seed):
+        g = erdos_renyi(n, p, random.Random(seed))
+        for root in range(n):
+            dist = deque_distances(g, root)
+            depth = max(dist.values())
+            expected = tuple(
+                frozenset(v for v, d in dist.items() if d == i) for i in range(depth + 1)
+            )
+            lay = bfs_layers(g, root)
+            assert lay.depth == depth
+            assert lay.layers == expected
+            assert lay.masks == tuple(sum(1 << v for v in layer) for layer in expected)
+        assert is_connected(g) == (len(deque_distances(g, 0)) == n)
+
+    def test_depth_leaves_layers_unbuilt(self):
+        g = gen_s_star(3)
+        lay = bfs_layers(g, 0)
+        assert lay.depth == 2
+        assert "layers" not in vars(lay)
+        assert lay.layers == (frozenset({0}), frozenset({1, 2, 3}), frozenset({4, 5, 6}))
+        assert lay.layers is lay.layers
 
     def test_min_eccentricity_matches_literal_bfs_on_sparse_graph(self):
         g = sparse_connected(300, random.Random(3))

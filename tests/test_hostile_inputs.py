@@ -22,11 +22,11 @@ from domcert.corpus import erdos_renyi
 from domcert.graph_core import gen_path, to_graph6
 
 ADDRESS_SPACE = 1 << 30
-# Each request took at most about 1 s (the gamma node budget) and 41 MB (the
-# 12.6 MB graph6 file, read whole before its first line is taken) on a 2-vCPU
-# VM, interpreter start included; a bare interpreter with domcert imported peaks
-# near 17 MB. The files of millions of lines stay under the ceiling only
-# because no line past the first is split.
+# Each request took at most about 1 s (the gamma node budget) and 25 MB (the
+# graph6 file whose one line holds a 4 MB body, read whole as that line) on a
+# 2-vCPU VM, interpreter start included; a bare interpreter with domcert
+# imported peaks near 17 MB. The files of millions of lines stay near that
+# floor because no line past the one holding the order is read from the file.
 WALL_CEILING_S = 5.0
 RSS_CEILING_MB = 64
 
@@ -57,7 +57,7 @@ HOSTILE = {
         ["gamma", "--input", "{input}", "--format", "edgelist"],
         b"258047 258046\n" + b"".join(b"%d 258046\n" % v for v in range(258046)),
     ),
-    # Refused by the first line, which is found without splitting the rest.
+    # Refused by the first line, read from the file without the rest.
     "graph6-order-258047-then-4m-lines": (
         ["gamma", "--input", "{input}"],
         b"~}~~\n" + b"A_\n" * (4 << 20),
