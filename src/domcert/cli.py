@@ -15,6 +15,7 @@ options) keys first, and writes the report, encoding every result.
 from __future__ import annotations
 
 import argparse
+import codecs
 import functools
 import json
 import locale
@@ -34,10 +35,14 @@ from .domination import gamma_exact, is_dominating
 from .errors import DomcertError
 from .graph_core import (
     Graph,
+    _LINE,
+    _Neighbourhoods,
+    _OUTSIDE_GRAPH6,
     _decode_size,
     _edge_list_body,
     _edge_list_header,
     _lines,
+    _parse_graph6,
     bfs_layers,
     gen_complete,
     gen_empty,
@@ -57,13 +62,19 @@ class UsageError(DomcertError):
     """Invalid flag combination or malformed command input."""
 
 
-# Largest input graph: canonical labelling of K_50, the slowest input found,
-# takes about 0.5 s, and of K_60 about 1 s (E_n takes half as long).
+# Largest input graph: canonical labelling of K_50 takes about 0.5 s, and of K_60
+# about 1 s (E_n takes half as long). Some symmetric inputs within it hang: the
+# hypercube Q_5, Kneser(7,3) and the circulant C_50(1,7) each ran past 30 s
+# (ROADMAP item 1).
 MAX_VERTICES = 50
 # Largest number of search nodes of `gamma`, about a second of search. Inputs
 # with n <= 10 need at most a few hundred; erdos_renyi(50, 0.08, Random(0))
 # needs about 3.2 million.
 GAMMA_NODE_BUDGET = 1_000_000
+# A graph6 --input file is read _CHUNK bytes at a time, and its first line is kept
+# whole up to _KEPT characters, more than the line of any graph within MAX_VERTICES.
+_CHUNK = 1 << 16
+_KEPT = 1 << 10
 # Largest --k, --l, --i, --m and --layer of `bounds`, `dominate` and `witness`.
 # One layer multiplies the bit length of g by at most about k, so the first f
 # past MAX_BOUND_BITS, the only one computed, has at most about 10^6 bits.
@@ -95,15 +106,18 @@ def _load_graph(args: argparse.Namespace) -> tuple[Graph, dict]:
     if args.graph6 is not None:
         if args.format != "graph6":
             raise UsageError("--graph6 implies --format graph6")
-        source, graph = "inline", _read_graph(_lines(args.graph6), "graph6")
+        source, graph = "inline", _read_graph(iter([args.graph6]), "graph6")
     else:
         source = args.input
         try:
             with open(args.input, "rb") as handle:
-                # Each line of the file is read and decoded only when it is reached.
+                # The file is read and decoded only as far as it is taken.
                 encoding = locale.getpreferredencoding(False)
-                pieces = (piece for raw in handle for piece in _lines(raw.decode(encoding)))
-                graph = _read_graph(pieces, args.format)
+                if args.format == "graph6":
+                    texts = _decoded(handle, encoding)
+                else:
+                    texts = (piece for raw in handle for piece in _lines(raw.decode(encoding)))
+                graph = _read_graph(texts, args.format)
         except (OSError, UnicodeDecodeError) as exc:
             raise UsageError(f"cannot read {args.input}: {exc}") from exc
     descriptor = {
@@ -115,18 +129,69 @@ def _load_graph(args: argparse.Namespace) -> tuple[Graph, dict]:
     return graph, descriptor
 
 
-def _read_graph(pieces: Iterator[str], fmt: str) -> Graph:
-    """The graph in pieces, its nonempty lines as _lines splits them, refused above
-    MAX_VERTICES by the order in its size field or header before any later piece
-    is taken: graph6 takes no piece past its first nonblank one."""
+def _read_graph(texts: Iterator[str], fmt: str) -> Graph:
+    """The graph in texts, refused above MAX_VERTICES by the order in its size field
+    or header before any line after that one is taken. An edge list's texts are its
+    nonempty lines, as _lines splits them; graph6 text is read as _graph6_line says."""
     if fmt == "graph6":
-        line = next((piece for piece in pieces if piece.strip()), "")
+        line, cut = _graph6_line(texts)
         n = _decode_size(line)[1]
     else:
-        rest, n, m = _edge_list_header(pieces)
+        rest, n, m = _edge_list_header(texts)
     if n > MAX_VERTICES:
         raise UsageError(f"graph has {n} vertices, above the limit of {MAX_VERTICES}")
-    return parse_graph6(line) if fmt == "graph6" else _edge_list_body(rest, n, m)
+    if fmt != "graph6":
+        return _edge_list_body(rest, n, m)
+    return _parse_graph6(line, _Neighbourhoods(), cut) if cut else parse_graph6(line)
+
+
+def _decoded(handle, encoding: str) -> Iterator[str]:
+    """The text of a file opened in binary mode, read and decoded _CHUNK bytes at a
+    time. A decode error counts its position from the start of its line, as
+    decoding the whole line does."""
+    decoder, read, chunk = codecs.getincrementaldecoder(encoding)(), 0, b"\n"
+    while chunk:
+        read = 0 if chunk.endswith(b"\n") else read  # bytes of this line read so far
+        chunk = handle.readline(_CHUNK)
+        read += len(chunk)
+        try:
+            yield decoder.decode(chunk, final=not chunk)
+        except UnicodeDecodeError as exc:
+            at = read - len(exc.object)  # where the bytes it decoded start in their line
+            exc.object, exc.start, exc.end = bytes(at) + exc.object, at + exc.start, at + exc.end
+            raise
+
+
+def _graph6_line(texts: Iterator[str]) -> tuple[str, int]:
+    """The first nonblank line of the text in texts, as _lines splits it, from its
+    first non-whitespace character, and the number of graph6 characters cut from
+    it. Texts are taken up to the end of the file line that holds its end, so a
+    decode error anywhere in that file line is raised.
+
+    Past the first _KEPT characters, a run of graph6 characters is kept as its
+    first one, and the rest of the line as its first character and the first
+    non-whitespace one after that. Followed by any text, what is kept has the
+    whole line's first character outside graph6 range and its stripped end: all
+    that _decode_size and _parse_graph6 read there, but for the length that the
+    number cut restores.
+    """
+    line, cut = "", 0
+    for text in texts:
+        text = text if line else text.lstrip()  # every line boundary is whitespace
+        part = _LINE.match(text)
+        end = part.end() if part else 0
+        line += text[:end]
+        if len(line) > _KEPT:
+            other = _OUTSIDE_GRAPH6.search(line, _KEPT)
+            start = other.start() if other else len(line)
+            cut += max(start - _KEPT - 1, 0)
+            after = line[start + 1:].lstrip()[:1]
+            line = line[:min(start, _KEPT + 1)] + line[start:start + 1] + after
+        if line and end < len(text):
+            while not text.endswith("\n"):
+                text = next(texts, "\n")
+            break
+    return line, cut
 
 
 # Each family's generator and its vertex count at a given size.

@@ -86,12 +86,14 @@ def canonical_graph6(graph: Graph) -> str:
     """
     if graph.n == 0:
         return to_graph6(graph)
+    edges = graph.edges()
 
     def search(cells: list[tuple[int, ...]]) -> str:
         """The least leaf encoding below cells."""
         target = next((idx for idx, c in enumerate(cells) if len(c) > 1), None)
         if target is None:
-            return to_graph6(graph.relabel([v for (v,) in cells]))
+            pos = {v: i for i, (v,) in enumerate(cells)}  # v is renamed to its cell's index
+            return to_graph6(from_edge_list(graph.n, [(pos[u], pos[v]) for u, v in edges]))
         cell = cells[target]
         explored: list = []
         leaves = []
@@ -153,7 +155,7 @@ def enumerate_connected_graphs(max_n: int) -> list[Graph]:
     """
     if max_n < 1:
         return []
-    level = [Graph(1, (frozenset(),))]
+    level = [from_edge_list(1, [])]
     result = list(level)
     for n in range(2, max_n + 1):
         seen: set[str] = set()

@@ -9,12 +9,11 @@ construction kernel runs on the bitmasks ``Graph.masks``; the frozensets
 keeps BFS layers the same way, as one vertex mask per layer, and builds their
 frozensets only when ``layers`` is first read; root selection reads only depths.
 
-``Graph(n, adj)``, ``from_edge_list`` and ``Graph.relabel`` validate what they
-are given. The graph6 decoder, ``corpus.all_labeled_graphs`` and
-``corpus.erdos_renyi`` make neighbourhood masks that are symmetric and loop-free
-by construction; they build through one trusted route,
-``_Neighbourhoods.trusted_graph``, which keeps those masks as ``Graph.masks``
-and skips the validation.
+``Graph(n, adj)`` validates what a caller outside the package gives it. Every
+builder in the package checks its own input, or makes adjacency that is
+symmetric and loop-free by construction, and then builds through one
+unvalidated constructor, ``_trusted_graph``: ``from_edge_list`` (and so the
+generators), the graph6 decoder, and ``corpus``'s enumeration and sampling.
 
 Vertex sets throughout the library are plain ``frozenset[int]`` / ``set[int]``
 values; there is no wrapper class.
@@ -47,7 +46,8 @@ class Graph:
     """Simple undirected graph on vertices 0..n-1 with frozen adjacency sets.
 
     Constructing one checks that adj is in range, loop-free and symmetric; the
-    library's mask builders skip that check through _Neighbourhoods.trusted_graph.
+    package's own builders, which check their input themselves, skip that check
+    through _trusted_graph.
     """
 
     n: int
@@ -78,15 +78,18 @@ class Graph:
         """All edges as (u, v) pairs with u < v, sorted."""
         return [(u, v) for u in range(self.n) for v in sorted(self.adj[u]) if u < v]
 
-    def relabel(self, order: Sequence[int]) -> "Graph":
-        """Graph with vertex order[i] renamed to i; order must be a permutation."""
-        index = {v: i for i, v in enumerate(order)}
-        if len(order) != self.n or index.keys() != set(range(self.n)):
-            raise GraphConstructionError("relabel order is not a permutation")
-        adj = [frozenset()] * self.n
-        for v, i in index.items():
-            adj[i] = frozenset(index[w] for w in self.adj[v])
-        return Graph(self.n, tuple(adj))
+
+def _trusted_graph(adj: tuple[frozenset[int], ...], masks: Optional[tuple] = None) -> Graph:
+    """The graph with open neighbourhoods adj, and masks as Graph.masks when given.
+    Not validated: adj must be symmetric and loop-free, with every id in range."""
+    graph = object.__new__(Graph)
+    # Set one by one in field order, as Graph.__init__ does, so the instance
+    # keeps its compact attribute storage (no materialised __dict__).
+    object.__setattr__(graph, "n", len(adj))
+    object.__setattr__(graph, "adj", adj)
+    if masks is not None:
+        object.__setattr__(graph, "masks", masks)
+    return graph
 
 
 @dataclass(frozen=True)
@@ -108,7 +111,7 @@ class LayerDecomposition:
 
 
 def from_edge_list(n: int, edges: Iterable[tuple[int, int]]) -> Graph:
-    """Build a graph from explicit edges, rejecting loops and duplicates."""
+    """Build a graph from explicit edges, rejecting ids out of range, loops and duplicates."""
     if n < 0:
         raise GraphConstructionError(f"negative vertex count {n}")
     # A vertex gets its set at its first edge, so no set here is empty; the
@@ -125,7 +128,7 @@ def from_edge_list(n: int, edges: Iterable[tuple[int, int]]) -> Graph:
         adj[u].add(v)
         adj[v].add(u)
     empty: frozenset[int] = frozenset()
-    return Graph(n, tuple(frozenset(s) if s else empty for s in adj))
+    return _trusted_graph(tuple(frozenset(s) if s else empty for s in adj))
 
 
 # ---------------------------------------------------------------------------
@@ -151,13 +154,7 @@ class _Neighbourhoods(dict):
         """The graph whose open neighbourhoods are masks, with each frozenset from
         this table and masks kept as Graph.masks. Not validated: masks must be
         symmetric and loop-free, with no bit at or past len(masks)."""
-        graph = object.__new__(Graph)
-        # Set one by one in field order, as Graph.__init__ does, so the instance
-        # keeps its compact attribute storage (no materialised __dict__).
-        object.__setattr__(graph, "n", len(masks))
-        object.__setattr__(graph, "adj", tuple(map(self.__getitem__, masks)))
-        object.__setattr__(graph, "masks", tuple(masks))
-        return graph
+        return _trusted_graph(tuple(map(self.__getitem__, masks)), tuple(masks))
 
 
 _OUTSIDE_GRAPH6 = re.compile(r"[^?-~]")  # a character outside [63, 126]
@@ -166,15 +163,16 @@ _NONZERO_BYTE = re.compile(r"[^?]")  # a body byte with some bit set
 _BIT_OFFSETS = tuple(tuple(j for j in range(6) if val >> (5 - j) & 1) for val in range(64))
 
 
-def _parse_graph6(text: str, shared: _Neighbourhoods) -> Graph:
+def _parse_graph6(text: str, shared: _Neighbourhoods, cut: int = 0) -> Graph:
     """parse_graph6 that takes each neighbourhood from shared by its bitmask: one
-    table kept across many calls makes equal neighbourhoods one frozenset."""
+    table kept across many calls makes equal neighbourhoods one frozenset. cut
+    body characters left out of text count toward its length."""
     s, n, offset = _decode_size(text)
     nbits = n * (n - 1) // 2
     nbytes = (nbits + 5) // 6
-    if len(s) - offset > nbytes:
+    if len(s) + cut - offset > nbytes:
         raise Graph6FormatError(
-            f"trailing garbage: {len(s) - offset} body bytes where at most {nbytes} expected"
+            f"trailing garbage: {len(s) + cut - offset} body bytes where at most {nbytes} expected"
         )
     # Visit nonzero bytes only; body bit k (high bit first) is u < v with
     # k = v(v-1)/2 + u, and k only grows, so column v only moves forward.
@@ -388,7 +386,7 @@ def gen_empty(n: int) -> Graph:
     """Edgeless graph on n vertices (n = 0 allowed)."""
     if n < 0:
         raise GraphConstructionError(f"gen_empty requires n >= 0, got {n}")
-    return Graph(n, tuple(frozenset() for _ in range(n)))
+    return from_edge_list(n, [])
 
 
 def gen_k_star(n: int) -> Graph:

@@ -53,6 +53,19 @@ def run_error(argv, capsys):
     return captured.err
 
 
+def traced_error(argv, capsys) -> tuple[str, int]:
+    """run_error's message and the peak of memory traced while it ran."""
+    tracemalloc.start()
+    try:
+        return run_error(argv, capsys), tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+# Longer than the part of a graph6 --input line that is read or kept at once.
+LONG = 1 << 16
+
+
 class TestGamma:
     def test_path_seven(self, capsys):
         report = run_json(["gamma", "--graph6", to_graph6(gen_path(7))], capsys)
@@ -578,14 +591,49 @@ class TestInputBudgets:
     def test_over_limit_order_before_undecodable_bytes(self, fmt, head, tmp_path, capsys):
         path = tmp_path / "graph.txt"
         path.write_bytes(head + b"0 1\n" * (1 << 20) + b"\xff\xfe\n")
-        tracemalloc.start()
-        try:
-            err = run_error(["gamma", "--input", str(path), "--format", fmt], capsys)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+        err, peak = traced_error(["gamma", "--input", str(path), "--format", fmt], capsys)
         assert "graph has 51 vertices, above the limit of 50" in err
         assert peak < 1 << 20
+
+    # A graph6 line is read in pieces, and only a bounded part of it is kept.
+    def test_over_limit_order_on_one_long_line(self, tmp_path, capsys):
+        path = tmp_path / "graph.g6"
+        path.write_bytes(b"~}~~" + b"~" * (4 << 20))
+        err, peak = traced_error(["gamma", "--input", str(path)], capsys)
+        assert err == "error: graph has 258047 vertices, above the limit of 50\n"
+        assert peak < 1 << 20
+
+    # Each outcome is the one the whole line gives: past the part of the line
+    # that is kept, the first character outside graph6 range, the stripped end
+    # and the length still count, and so does every byte of the line's decoding.
+    @pytest.mark.parametrize(
+        "line, message",
+        [
+            (b"A" + b"?" * LONG, f"trailing garbage: {LONG} body bytes where at most 1 expected"),
+            (b"A" + b"?" * LONG + b" \t" * LONG, f"trailing garbage: {LONG} body bytes"),
+            (b"~??r" + b"?" * LONG, "graph has 51 vertices, above the limit of 50"),
+            (b"~}~~" + b"~" * LONG + b"!", "character '!' outside graph6 range"),
+            (b"~}~~" + b"~" * LONG + b" " * LONG + b"A", "character ' ' outside graph6 range"),
+            (b"A_\r" + b"~" * LONG + b"\xff", "can't decode byte 0xff in position 65539"),
+            (b"A_" + b" " * LONG + b"\xe2\x80\nA_", "position 65538-65539: invalid continuation"),
+        ],
+        ids=["garbage", "garbage-then-space", "limit", "character", "inner-space", "decode",
+             "decode-split"],
+    )
+    def test_long_graph6_line(self, line, message, tmp_path, capsys):
+        path = tmp_path / "graph.g6"
+        path.write_bytes(b"\n \n" + line + b"\n")
+        assert message in run_error(["gamma", "--input", str(path)], capsys)
+
+    @pytest.mark.parametrize(
+        "data",
+        [b" " * LONG + b"A_" + b"\t" * LONG, b" " * (LONG - 1) + "\xa0A_\u2028\xff".encode()],
+        ids=["whitespace", "split-character"],
+    )
+    def test_long_whitespace_around_graph6_line(self, data, tmp_path, capsys):
+        path = tmp_path / "graph.g6"
+        path.write_bytes(data)
+        assert run_json(["gamma", "--input", str(path)], capsys)["result"]["gamma"] == 1
 
     def test_graph6_line_before_undecodable_bytes(self, tmp_path, capsys):
         path = tmp_path / "graph.g6"

@@ -58,7 +58,7 @@ def unpruned_canonical_graph6(graph: Graph) -> str:
         target = next((idx for idx, c in enumerate(cells) if len(c) > 1), None)
         if target is None:
             order = [v for (v,) in cells]
-            encoded = to_graph6(graph.relabel(order))
+            encoded = to_graph6(relabel(graph, [order.index(v) for v in range(graph.n)]))
             if best is None or encoded < best:
                 best = encoded
             return
@@ -335,7 +335,7 @@ def assert_built_like_validated(built) -> None:
 
 class TestTrustedBuilder:
     """The graph6 decoder, the enumeration and the random draws build through
-    _Neighbourhoods.trusted_graph, which skips Graph's validation."""
+    _trusted_graph, which skips Graph's validation."""
 
     def test_packaged_corpus(self):
         assert_built_like_validated(load_fixture_corpus())

@@ -11,7 +11,13 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from conftest import connected_graphs, graphs
-from domcert.corpus import erdos_renyi
+from domcert.corpus import (
+    all_labeled_graphs,
+    canonical_graph6,
+    enumerate_connected_graphs,
+    erdos_renyi,
+    sample_free_connected,
+)
 from domcert.domination import is_dominating
 from domcert.errors import (
     DisconnectedGraphError,
@@ -162,25 +168,6 @@ class TestGraphType:
         with pytest.raises(GraphConstructionError, match="negative vertex count -1"):
             Graph(-1, ())
 
-    def test_relabel_rejects_repeated_vertex(self):
-        with pytest.raises(GraphConstructionError, match="not a permutation"):
-            gen_path(3).relabel([0, 0, 1])
-
-    @pytest.mark.parametrize(
-        "graph, order",
-        [
-            (gen_empty(3), [0, 1, -1]),
-            (gen_path(3), [0, 1, -1]),
-            (gen_empty(3), [0, 1, 5]),
-            (gen_path(3), [0, 1, 5]),
-            (gen_path(2), [0, 1, 1]),
-        ],
-        ids=["empty-negative", "path-negative", "empty-too-large", "path-too-large", "too-long"],
-    )
-    def test_relabel_rejects_vertex_outside_range(self, graph, order):
-        with pytest.raises(GraphConstructionError, match="not a permutation"):
-            graph.relabel(order)
-
     def test_masks_mirror_adjacency(self):
         g = gen_k_star(3)
         assert g.masks == tuple(sum(1 << u for u in g.adj[v]) for v in range(g.n))
@@ -190,12 +177,6 @@ class TestGraphType:
         g, h = gen_path(4), gen_path(4)
         g.masks
         assert g == h and hash(g) == hash(h)
-
-    def test_relabel_roundtrip(self):
-        g = gen_k_star(2)
-        order = [3, 1, 0, 2]
-        back = g.relabel(order).relabel([order.index(v) for v in range(4)])
-        assert back.adj == g.adj
 
 
 class TestFromEdgeList:
@@ -222,6 +203,31 @@ class TestFromEdgeList:
     def test_out_of_range_rejected(self):
         with pytest.raises(GraphConstructionError, match="outside"):
             from_edge_list(2, [(0, 2)])
+
+
+class TestOneConstructor:
+    """The package builds every graph through graph_core._trusted_graph, after its
+    own checks, so Graph's validation runs only for callers outside it."""
+
+    def test_package_builders_skip_validation(self, monkeypatch):
+        def refuse(graph):
+            raise AssertionError("built through Graph's validating constructor")
+
+        monkeypatch.setattr(Graph, "__post_init__", refuse)
+        generators = (gen_path, gen_complete, gen_empty, gen_k_star, gen_s_star)
+        built = [from_edge_list(3, [(0, 1), (1, 2)]), *(gen(4) for gen in generators)]
+        built += [parse_edge_list("3 2\n0 1\n0 2\n"), parse_graph6("E?bw")]
+        built.append(erdos_renyi(9, 0.5, random.Random(1)))
+        built += [*all_labeled_graphs(3), *sample_free_connected(2, [(6, 0.5)], [], seed=1)]
+        assert [canonical_graph6(g) for g in built[:3]] == ["BW", "CL", "C~"]
+        assert all(canonical_graph6(g) for g in built)
+        assert len(enumerate_connected_graphs(4)) == 10
+
+    @given(graphs())
+    def test_edge_list_graph_equals_validated_graph(self, g):
+        validated = Graph(g.n, g.adj)
+        assert g == validated and hash(g) == hash(validated)
+        assert g.masks == validated.masks
 
 
 class TestGraph6:

@@ -22,11 +22,11 @@ from domcert.corpus import erdos_renyi
 from domcert.graph_core import gen_path, to_graph6
 
 ADDRESS_SPACE = 1 << 30
-# Each request took at most about 1 s (the gamma node budget) and 25 MB (the
-# graph6 file whose one line holds a 4 MB body, read whole as that line) on a
+# Each request took at most about 1 s (the gamma node budget) and 17 MB on a
 # 2-vCPU VM, interpreter start included; a bare interpreter with domcert
-# imported peaks near 17 MB. The files of millions of lines stay near that
-# floor because no line past the one holding the order is read from the file.
+# imported peaks near 17 MB. The large files stay at that floor: no line past
+# the one holding the order is read from the file, and a graph6 file's first
+# line, however long, is read in 64 KiB pieces of which a bounded part is kept.
 WALL_CEILING_S = 5.0
 RSS_CEILING_MB = 64
 

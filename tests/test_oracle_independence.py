@@ -34,7 +34,7 @@ FAST_ROUTE_NAMES = {"masks", "contains_induced", "gamma_exact"}
 LITERAL_NAMES = {"adj", "has_edge", "closed_neighborhood"}
 GRAPH_BUILDERS = {
     "Graph", "induced", "relabel", "from_edge_list", "parse_graph6", "parse_edge_list",
-    "trusted_graph",
+    "trusted_graph", "_trusted_graph",
 }
 
 CHECKERS = [
