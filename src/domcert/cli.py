@@ -35,14 +35,8 @@ from .domination import gamma_exact, is_dominating
 from .errors import DomcertError
 from .graph_core import (
     Graph,
-    _LINE,
-    _Neighbourhoods,
-    _OUTSIDE_GRAPH6,
-    _decode_size,
-    _edge_list_body,
-    _edge_list_header,
     _lines,
-    _parse_graph6,
+    _staged,
     bfs_layers,
     gen_complete,
     gen_empty,
@@ -51,7 +45,6 @@ from .graph_core import (
     gen_s_star,
     is_connected,
     min_eccentricity_vertex,
-    parse_graph6,
     to_graph6,
 )
 from .subgraph import Embedding, is_free, leq_relation
@@ -62,19 +55,15 @@ class UsageError(DomcertError):
     """Invalid flag combination or malformed command input."""
 
 
-# Largest input graph: canonical labelling of K_50 takes about 0.5 s, and of K_60
-# about 1 s (E_n takes half as long). Some symmetric inputs within it hang: the
-# hypercube Q_5, Kneser(7,3) and the circulant C_50(1,7) each ran past 30 s
-# (ROADMAP item 1).
+# Largest input graph. Of 56 symmetric inputs tried within it (README), K_50 is
+# the slowest to canonicalise, in about 0.12 s of CPU time.
 MAX_VERTICES = 50
 # Largest number of search nodes of `gamma`, about a second of search. Inputs
 # with n <= 10 need at most a few hundred; erdos_renyi(50, 0.08, Random(0))
 # needs about 3.2 million.
 GAMMA_NODE_BUDGET = 1_000_000
-# A graph6 --input file is read _CHUNK bytes at a time, and its first line is kept
-# whole up to _KEPT characters, more than the line of any graph within MAX_VERTICES.
+# A graph6 --input file is read _CHUNK bytes at a time.
 _CHUNK = 1 << 16
-_KEPT = 1 << 10
 # Largest --k, --l, --i, --m and --layer of `bounds`, `dominate` and `witness`.
 # One layer multiplies the bit length of g by at most about k, so the first f
 # past MAX_BOUND_BITS, the only one computed, has at most about 10^6 bits.
@@ -118,7 +107,7 @@ def _load_graph(args: argparse.Namespace) -> tuple[Graph, dict]:
                 else:
                     texts = (piece for raw in handle for piece in _lines(raw.decode(encoding)))
                 graph = _read_graph(texts, args.format)
-        except (OSError, UnicodeDecodeError) as exc:
+        except (OSError, UnicodeError) as exc:
             raise UsageError(f"cannot read {args.input}: {exc}") from exc
     descriptor = {
         "source": source,
@@ -130,25 +119,18 @@ def _load_graph(args: argparse.Namespace) -> tuple[Graph, dict]:
 
 
 def _read_graph(texts: Iterator[str], fmt: str) -> Graph:
-    """The graph in texts, refused above MAX_VERTICES by the order in its size field
-    or header before any line after that one is taken. An edge list's texts are its
-    nonempty lines, as _lines splits them; graph6 text is read as _graph6_line says."""
-    if fmt == "graph6":
-        line, cut = _graph6_line(texts)
-        n = _decode_size(line)[1]
-    else:
-        rest, n, m = _edge_list_header(texts)
+    """The graph in texts, read as graph_core._staged says, refused above
+    MAX_VERTICES by its order before any line after the one holding it is taken."""
+    n, rest = _staged(texts, fmt)
     if n > MAX_VERTICES:
         raise UsageError(f"graph has {n} vertices, above the limit of {MAX_VERTICES}")
-    if fmt != "graph6":
-        return _edge_list_body(rest, n, m)
-    return _parse_graph6(line, _Neighbourhoods(), cut) if cut else parse_graph6(line)
+    return rest()
 
 
 def _decoded(handle, encoding: str) -> Iterator[str]:
     """The text of a file opened in binary mode, read and decoded _CHUNK bytes at a
-    time. A decode error counts its position from the start of its line, as
-    decoding the whole line does."""
+    time. A decode error is raised as a UnicodeError whose message counts its
+    position from the start of its line, as decoding the whole line does."""
     decoder, read, chunk = codecs.getincrementaldecoder(encoding)(), 0, b"\n"
     while chunk:
         read = 0 if chunk.endswith(b"\n") else read  # bytes of this line read so far
@@ -157,41 +139,12 @@ def _decoded(handle, encoding: str) -> Iterator[str]:
         try:
             yield decoder.decode(chunk, final=not chunk)
         except UnicodeDecodeError as exc:
+            # The message that decoding the whole line gives, without building that line.
             at = read - len(exc.object)  # where the bytes it decoded start in their line
-            exc.object, exc.start, exc.end = bytes(at) + exc.object, at + exc.start, at + exc.end
-            raise
-
-
-def _graph6_line(texts: Iterator[str]) -> tuple[str, int]:
-    """The first nonblank line of the text in texts, as _lines splits it, from its
-    first non-whitespace character, and the number of graph6 characters cut from
-    it. Texts are taken up to the end of the file line that holds its end, so a
-    decode error anywhere in that file line is raised.
-
-    Past the first _KEPT characters, a run of graph6 characters is kept as its
-    first one, and the rest of the line as its first character and the first
-    non-whitespace one after that. Followed by any text, what is kept has the
-    whole line's first character outside graph6 range and its stripped end: all
-    that _decode_size and _parse_graph6 read there, but for the length that the
-    number cut restores.
-    """
-    line, cut = "", 0
-    for text in texts:
-        text = text if line else text.lstrip()  # every line boundary is whitespace
-        part = _LINE.match(text)
-        end = part.end() if part else 0
-        line += text[:end]
-        if len(line) > _KEPT:
-            other = _OUTSIDE_GRAPH6.search(line, _KEPT)
-            start = other.start() if other else len(line)
-            cut += max(start - _KEPT - 1, 0)
-            after = line[start + 1:].lstrip()[:1]
-            line = line[:min(start, _KEPT + 1)] + line[start:start + 1] + after
-        if line and end < len(text):
-            while not text.endswith("\n"):
-                text = next(texts, "\n")
-            break
-    return line, cut
+            start, end = at + exc.start, at + exc.end
+            where = (f"byte 0x{exc.object[exc.start]:02x} in position {start}" if end == start + 1
+                     else f"bytes in position {start}-{end - 1}")
+            raise UnicodeError(f"'{exc.encoding}' codec can't decode {where}: {exc.reason}")
 
 
 # Each family's generator and its vertex count at a given size.

@@ -26,6 +26,7 @@ from .graph_core import (
     _members,
     _Neighbourhoods,
     _parse_graph6,
+    _trusted_graph,
     from_edge_list,
     is_connected,
     parse_graph6,
@@ -86,14 +87,14 @@ def canonical_graph6(graph: Graph) -> str:
     """
     if graph.n == 0:
         return to_graph6(graph)
-    edges = graph.edges()
 
     def search(cells: list[tuple[int, ...]]) -> str:
         """The least leaf encoding below cells."""
         target = next((idx for idx, c in enumerate(cells) if len(c) > 1), None)
         if target is None:
             pos = {v: i for i, (v,) in enumerate(cells)}  # v is renamed to its cell's index
-            return to_graph6(from_edge_list(graph.n, [(pos[u], pos[v]) for u, v in edges]))
+            adj = tuple(frozenset(map(pos.__getitem__, graph.adj[v])) for (v,) in cells)
+            return to_graph6(_trusted_graph(adj))  # a relabelling of a valid graph is valid
         cell = cells[target]
         explored: list = []
         leaves = []
@@ -113,19 +114,32 @@ def _automorphism_test(masks, cells: list[tuple[int, ...]]):
     """A test of whether an automorphism maps each of cells onto the cell at
     the same position of another partition.
 
-    Each test is one exact search on the graph itself: the vertices of the
-    singleton cells are the first steps, then those of the other cells, and
-    each step is allowed the other partition's cell at its own cell's position.
-    Steps link only to the earlier steps adjacent to them: every vertex is a
-    step and the steps take distinct vertices, so an accepted assignment is a
-    permutation that maps edges to edges, and therefore non-edges to non-edges.
+    Each test is one exact search on the graph itself, whose steps are its
+    vertices, each allowed the other partition's cell at its own cell's position.
+    Steps are related by the sparser of adjacency and non-adjacency, and each links
+    only to the earlier steps related to it: the steps take distinct vertices, so
+    an accepted assignment is a permutation that maps related pairs to related
+    pairs, and therefore unrelated pairs to unrelated pairs. The singletons are
+    the first steps, then the vertex related to the most steps so far, from the
+    smaller cell, then the lower id, so that each step is bound by earlier ones.
     """
+    # -1 when more than half of all pairs are edges: XOR with it complements a mask.
+    flip = -1 if 2 * sum(map(int.bit_count, masks)) > len(masks) * (len(masks) - 1) else 0
+    related = [mask ^ flip for mask in masks]
     sizes = [len(cell) for cell in cells]
-    cell_order = sorted(range(len(cells)), key=lambda idx: sizes[idx] > 1)
-    order = [v for idx in cell_order for v in cells[idx]]
-    step_cell = [idx for idx in cell_order for _ in cells[idx]]
+    order = [cell[0] for cell in cells if len(cell) == 1]
+    placed = sum(1 << v for v in order)
+    # By cell size, then id: max takes the first of the most related vertices.
+    rest = [v for _, v in sorted((len(cell), v) for cell in cells if len(cell) > 1 for v in cell)]
+    while rest:
+        v = max(rest, key=lambda u: (related[u] & placed).bit_count())
+        rest.remove(v)
+        order.append(v)
+        placed |= 1 << v
+    cell_index = {v: idx for idx, cell in enumerate(cells) for v in cell}
+    step_cell = [cell_index[v] for v in order]
     links = [
-        tuple((q, 0) for q in range(step) if masks[p] >> order[q] & 1)
+        tuple((q, flip) for q in range(step) if related[p] >> order[q] & 1)
         for step, p in enumerate(order)
     ]
     below = [()] * len(order)

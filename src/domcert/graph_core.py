@@ -15,6 +15,10 @@ symmetric and loop-free by construction, and then builds through one
 unvalidated constructor, ``_trusted_graph``: ``from_edge_list`` (and so the
 generators), the graph6 decoder, and ``corpus``'s enumeration and sampling.
 
+Text input is read in two stages by ``_staged``: the order from the graph6
+size field or the edge-list header, then, on request, the rest of the graph,
+so that a caller can refuse the order before any later line is read.
+
 Vertex sets throughout the library are plain ``frozenset[int]`` / ``set[int]``
 values; there is no wrapper class.
 """
@@ -26,7 +30,7 @@ from dataclasses import dataclass
 from functools import cached_property, reduce
 from itertools import compress, islice
 from operator import or_
-from typing import Iterable, Iterator, Optional, Sequence
+from typing import Callable, Iterable, Iterator, Optional, Sequence
 
 from .errors import (
     DisconnectedGraphError,
@@ -257,19 +261,58 @@ def _int_pair(line: str, what: str, shape: str) -> tuple[int, int]:
         raise EdgeListFormatError(f"non-integer {what} {line!r}") from exc
 
 
-def _edge_list_header(pieces: Iterable[str]) -> tuple[Iterator[str], int, int]:
-    """The nonblank lines of an edge list after its header, without comments, and n
-    and m from the header, refusing an order past the graph6 limit, so both formats
-    accept the same orders. pieces are the input's nonempty lines, as _lines gives
-    them; none past the header is taken."""
-    lines = (line for raw in pieces if (line := raw.split("#", 1)[0].strip()))
+# Kept whole by _graph6_line: more than the line of any graph within the CLI's limit.
+_KEPT = 1 << 10
+
+
+def _graph6_line(texts: Iterator[str]) -> tuple[str, int]:
+    """The first nonblank line of the text in texts, as _lines splits it, from its
+    first non-whitespace character, and the number of graph6 characters cut from
+    it. Texts are taken up to the end of the file line that holds its end, so a
+    decode error anywhere in that file line is raised.
+
+    Past the first _KEPT characters, a run of graph6 characters is kept as its
+    first one, and the rest of the line as its first character and the first
+    non-whitespace one after that. Followed by any text, what is kept has the
+    whole line's first character outside graph6 range and its stripped end: all
+    that _decode_size and _parse_graph6 read there, but for the length that the
+    number cut restores.
+    """
+    line, cut = "", 0
+    for text in texts:
+        text = text if line else text.lstrip()  # every line boundary is whitespace
+        part = _LINE.match(text)
+        end = part.end() if part else 0
+        line += text[:end]
+        if len(line) > _KEPT:
+            other = _OUTSIDE_GRAPH6.search(line, _KEPT)
+            start = other.start() if other else len(line)
+            cut += max(start - _KEPT - 1, 0)
+            after = line[start + 1:].lstrip()[:1]
+            line = line[:min(start, _KEPT + 1)] + line[start:start + 1] + after
+        if line and end < len(text):
+            while not text.endswith("\n"):
+                text = next(texts, "\n")
+            break
+    return line, cut
+
+
+def _staged(texts: Iterator[str], fmt: str) -> tuple[int, Callable[[], Graph]]:
+    """The order of the graph in texts, from its graph6 size field or edge-list
+    header, and a function that reads the rest; no line after the order's is taken
+    before that call. Graph6 text is read as _graph6_line says, an edge list's texts
+    are its nonempty lines as _lines gives them, and an order past graph6's is refused."""
+    if fmt == "graph6":
+        line, cut = _graph6_line(texts)
+        return _decode_size(line)[1], lambda: _parse_graph6(line, _Neighbourhoods(), cut)
+    lines = (line for raw in texts if (line := raw.split("#", 1)[0].strip()))
     header = next(lines, None)
     if header is None:
         raise EdgeListFormatError("empty edge-list input")
     n, m = _int_pair(header, "header", "n m")
     if n > _GRAPH6_MAX_N:
         raise EdgeListFormatError(f"graph order {n} exceeds the graph6 limit of {_GRAPH6_MAX_N}")
-    return lines, n, m
+    return n, lambda: _edge_list_body(lines, n, m)
 
 
 def _edge_list_body(rest: Iterator[str], n: int, m: int) -> Graph:
@@ -293,7 +336,7 @@ def parse_edge_list(text: str) -> Graph:
     """Parse the edge-list text format. A header edge count m outside
     [0, n(n-1)/2] is refused before any edge line is read, and at most one line
     past the m declared ones is read."""
-    return _edge_list_body(*_edge_list_header(_lines(text)))
+    return _staged(_lines(text), "edgelist")[1]()
 
 
 # ---------------------------------------------------------------------------

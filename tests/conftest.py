@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from itertools import combinations
+
 import pytest
 from hypothesis import HealthCheck, settings, strategies as st
 
@@ -18,6 +20,35 @@ settings.load_profile("suite")
 
 # Connected graphs per vertex count, for validating enumeration and fixture.
 EXPECTED_CONNECTED_COUNTS = {1: 1, 2: 1, 3: 2, 4: 6, 5: 21, 6: 112, 7: 853, 8: 11117}
+
+
+def hypercube(d: int) -> Graph:
+    """Q_d: the d-bit words, adjacent when they differ in one bit."""
+    edges = [(u, u | 1 << i) for u in range(1 << d) for i in range(d) if not u >> i & 1]
+    return from_edge_list(1 << d, edges)
+
+
+def kneser(n: int, k: int) -> Graph:
+    """Kneser(n, k): the k-subsets of n elements, adjacent when disjoint."""
+    subsets = [set(c) for c in combinations(range(n), k)]
+    pairs = combinations(range(len(subsets)), 2)
+    edges = [(i, j) for i, j in pairs if subsets[i].isdisjoint(subsets[j])]
+    return from_edge_list(len(subsets), edges)
+
+
+def circulant(n: int, jumps: tuple[int, ...]) -> Graph:
+    """C_n(jumps): u adjacent to u + j mod n for each jump j, all jumps below n/2."""
+    return from_edge_list(n, [(u, (u + j) % n) for u in range(n) for j in jumps])
+
+
+# Regular, vertex-transitive inputs within the CLI's vertex limit on which
+# canonical labelling once ran past 30 s: each automorphism test backtracked.
+SYMMETRIC_HARD = {
+    "hypercube-5": hypercube(5),
+    "kneser-7-3": kneser(7, 3),
+    "kneser-10-2": kneser(10, 2),
+    "circulant-50-1-7": circulant(50, (1, 7)),
+}
 
 
 def _all_pairs(n: int) -> list[tuple[int, int]]:

@@ -16,7 +16,7 @@ from conftest import graphs
 from hypothesis import example, given, strategies as st
 
 import domcert
-from domcert import cli
+from domcert import cli, graph_core
 from domcert.cli import GAMMA_NODE_BUDGET, MAX_BOUND_BITS, MAX_BOUND_PARAM, MAX_VERTICES, main
 from domcert.corpus import erdos_renyi
 from domcert.graph_core import (
@@ -603,6 +603,16 @@ class TestInputBudgets:
         assert err == "error: graph has 258047 vertices, above the limit of 50\n"
         assert peak < 1 << 20
 
+    # A decode error deep in one long line reports its position in that line,
+    # as decoding the whole line does, without building that line.
+    def test_decode_error_deep_in_one_long_line(self, tmp_path, capsys):
+        path = tmp_path / "graph.g6"
+        path.write_bytes(b"A_\r" + b"~" * (4 << 20) + b"\xff")
+        err, peak = traced_error(["gamma", "--input", str(path)], capsys)
+        assert err.startswith(f"error: cannot read {path}: ")
+        assert err.endswith("can't decode byte 0xff in position 4194307: invalid start byte\n")
+        assert peak < 1 << 20
+
     # Each outcome is the one the whole line gives: past the part of the line
     # that is kept, the first character outside graph6 range, the stripped end
     # and the length still count, and so does every byte of the line's decoding.
@@ -645,6 +655,23 @@ class TestInputBudgets:
         path.write_bytes(b"3 2\n0 1\n1 \xff\n")
         err = run_error(["gamma", "--input", str(path), "--format", "edgelist"], capsys)
         assert f"cannot read {path}" in err
+
+
+# What cli imported from the decoders to read a graph's order before its body,
+# and what cli kept of that reading itself; graph_core._staged alone does it now.
+DECODER_INTERNALS = (
+    "_LINE", "_OUTSIDE_GRAPH6", "_Neighbourhoods", "_decode_size", "_parse_graph6",
+    "_edge_list_header", "_edge_list_body", "parse_graph6", "_graph6_line", "_KEPT",
+)
+
+
+def test_cli_binds_no_decoder_internal():
+    assert [name for name in DECODER_INTERNALS if hasattr(cli, name)] == []
+    # The staged reader has no public name, so the tracer of public functions
+    # adds no span for it.
+    for module in (cli, graph_core):
+        names = [name for name, value in vars(module).items() if value is graph_core._staged]
+        assert names == ["_staged"], module.__name__
 
 
 def run_python(args):

@@ -10,7 +10,7 @@ from typing import Optional
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import EXPECTED_CONNECTED_COUNTS, graphs
+from conftest import EXPECTED_CONNECTED_COUNTS, SYMMETRIC_HARD, graphs
 from domcert.corpus import (
     CORPUS_MAX_N,
     _refine,
@@ -173,6 +173,15 @@ class TestCanonicalForm:
     @given(clique_unions())
     def test_matches_unpruned_search_on_symmetric_graphs(self, g):
         assert canonical_graph6(g) == unpruned_canonical_graph6(g)
+
+    # Each ran past 30 s while the automorphism tests linked a step only to the
+    # earlier steps adjacent to it, taking the cells in partition order.
+    @pytest.mark.parametrize("name", SYMMETRIC_HARD)
+    def test_symmetric_input_matches_a_relabelling(self, name):
+        g = SYMMETRIC_HARD[name]
+        perm = list(range(g.n))
+        random.Random(name).shuffle(perm)
+        assert canonical_graph6(relabel(g, perm)) == canonical_graph6(g)
 
     def test_complete_and_empty_up_to_thirty(self):
         for n in range(1, 31):

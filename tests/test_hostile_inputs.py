@@ -1,14 +1,16 @@
 """Hostile CLI requests that are refused cleanly today: exit 2 and one error line,
-within a wall-time and a peak-RSS ceiling.
+within a wall-time and a peak-RSS ceiling. A sibling table holds the requests that
+must answer within the same ceilings: exit 0 and a report.
 
 Each request runs in a child interpreter that caps its own address space before
 it calls cli.main, so a regression fails its entry instead of exhausting the
 machine; nothing outside the child is limited. An entry lands with the change
-that makes the CLI refuse it, never ahead of it as an expected failure.
+that makes the CLI refuse or answer it, never ahead of it as an expected failure.
 """
 
 from __future__ import annotations
 
+import json
 import os
 import random
 import subprocess
@@ -18,6 +20,7 @@ import time
 import pytest
 
 import domcert
+from conftest import SYMMETRIC_HARD
 from domcert.corpus import erdos_renyi
 from domcert.graph_core import gen_path, to_graph6
 
@@ -87,8 +90,17 @@ HOSTILE = {
 }
 
 
-@pytest.mark.parametrize("argv, content", HOSTILE.values(), ids=HOSTILE.keys())
-def test_refused_within_ceilings(argv, content, tmp_path):
+# Within the vertex limit and answered: symmetric inputs whose canonical
+# labelling once hung.
+ANSWERED = {
+    f"gamma-{name}": (["gamma", "--graph6", to_graph6(graph)], None)
+    for name, graph in SYMMETRIC_HARD.items()
+}
+
+
+def run_request(argv, content, tmp_path):
+    """The child's completed run of argv, its wall time in seconds and its peak RSS
+    in MB; "{input}" in argv names a file holding content."""
     path = tmp_path / "input"
     if content is not None:
         path.write_bytes(content)
@@ -104,10 +116,27 @@ def test_refused_within_ceilings(argv, content, tmp_path):
         timeout=60,
     )
     elapsed = time.perf_counter() - start
+    # A child that failed before it wrote its peak fails its status check first.
+    peak_mb = int(rss_file.read_text().split()[1]) / 1024 if rss_file.exists() else None
+    return run, elapsed, peak_mb
+
+
+@pytest.mark.parametrize("argv, content", HOSTILE.values(), ids=HOSTILE.keys())
+def test_refused_within_ceilings(argv, content, tmp_path):
+    run, elapsed, peak_mb = run_request(argv, content, tmp_path)
     assert run.returncode == 2, run.stderr
     assert run.stdout == ""
     assert run.stderr.startswith("error: ") and run.stderr.count("\n") == 1, run.stderr
     assert "Traceback" not in run.stderr
     assert elapsed < WALL_CEILING_S
-    peak_kib = int(rss_file.read_text().split()[1])
-    assert peak_kib / 1024 < RSS_CEILING_MB
+    assert peak_mb < RSS_CEILING_MB
+
+
+@pytest.mark.parametrize("argv, content", ANSWERED.values(), ids=ANSWERED.keys())
+def test_answered_within_ceilings(argv, content, tmp_path):
+    run, elapsed, peak_mb = run_request(argv, content, tmp_path)
+    assert run.returncode == 0, run.stderr
+    assert run.stderr == ""
+    assert json.loads(run.stdout)["command"] == argv[0]
+    assert elapsed < WALL_CEILING_S
+    assert peak_mb < RSS_CEILING_MB
