@@ -15,7 +15,6 @@ options) keys first, and writes the report, encoding every result.
 from __future__ import annotations
 
 import argparse
-import codecs
 import functools
 import json
 import locale
@@ -62,8 +61,9 @@ MAX_VERTICES = 50
 # with n <= 10 need at most a few hundred; erdos_renyi(50, 0.08, Random(0))
 # needs about 3.2 million.
 GAMMA_NODE_BUDGET = 1_000_000
-# A graph6 --input file is read _CHUNK bytes at a time.
-_CHUNK = 1 << 16
+# Longest --input line read, in bytes, its line end included. A graph within
+# MAX_VERTICES takes at most 206 as a graph6 line and a few as an edge line.
+MAX_LINE_BYTES = 1 << 18
 # Largest --k, --l, --i, --m and --layer of `bounds`, `dominate` and `witness`.
 # One layer multiplies the bit length of g by at most about k, so the first f
 # past MAX_BOUND_BITS, the only one computed, has at most about 10^6 bits.
@@ -95,18 +95,12 @@ def _load_graph(args: argparse.Namespace) -> tuple[Graph, dict]:
     if args.graph6 is not None:
         if args.format != "graph6":
             raise UsageError("--graph6 implies --format graph6")
-        source, graph = "inline", _read_graph(iter([args.graph6]), "graph6")
+        source, graph = "inline", _read_graph(_lines(args.graph6), "graph6")
     else:
         source = args.input
         try:
             with open(args.input, "rb") as handle:
-                # The file is read and decoded only as far as it is taken.
-                encoding = locale.getpreferredencoding(False)
-                if args.format == "graph6":
-                    texts = _decoded(handle, encoding)
-                else:
-                    texts = (piece for raw in handle for piece in _lines(raw.decode(encoding)))
-                graph = _read_graph(texts, args.format)
+                graph = _read_graph(_file_lines(handle), args.format)
         except (OSError, UnicodeError) as exc:
             raise UsageError(f"cannot read {args.input}: {exc}") from exc
     descriptor = {
@@ -127,24 +121,18 @@ def _read_graph(texts: Iterator[str], fmt: str) -> Graph:
     return rest()
 
 
-def _decoded(handle, encoding: str) -> Iterator[str]:
-    """The text of a file opened in binary mode, read and decoded _CHUNK bytes at a
-    time. A decode error is raised as a UnicodeError whose message counts its
-    position from the start of its line, as decoding the whole line does."""
-    decoder, read, chunk = codecs.getincrementaldecoder(encoding)(), 0, b"\n"
-    while chunk:
-        read = 0 if chunk.endswith(b"\n") else read  # bytes of this line read so far
-        chunk = handle.readline(_CHUNK)
-        read += len(chunk)
-        try:
-            yield decoder.decode(chunk, final=not chunk)
-        except UnicodeDecodeError as exc:
-            # The message that decoding the whole line gives, without building that line.
-            at = read - len(exc.object)  # where the bytes it decoded start in their line
-            start, end = at + exc.start, at + exc.end
-            where = (f"byte 0x{exc.object[exc.start]:02x} in position {start}" if end == start + 1
-                     else f"bytes in position {start}-{end - 1}")
-            raise UnicodeError(f"'{exc.encoding}' codec can't decode {where}: {exc.reason}")
+def _file_lines(handle) -> Iterator[str]:
+    """The lines of a file opened in binary mode, as _lines splits them, read and
+    decoded in the locale's encoding (the one open() uses) one physical line at a
+    time, so that no line after the last one taken is read. A line longer than
+    MAX_LINE_BYTES is refused before it is decoded."""
+    encoding = locale.getpreferredencoding(False)
+    while raw := handle.readline(MAX_LINE_BYTES + 1):
+        if len(raw) > MAX_LINE_BYTES:
+            raise UsageError(
+                f"cannot read {handle.name}: a line is longer than {MAX_LINE_BYTES} bytes"
+            )
+        yield from _lines(raw.decode(encoding))
 
 
 # Each family's generator and its vertex count at a given size.

@@ -15,9 +15,10 @@ symmetric and loop-free by construction, and then builds through one
 unvalidated constructor, ``_trusted_graph``: ``from_edge_list`` (and so the
 generators), the graph6 decoder, and ``corpus``'s enumeration and sampling.
 
-Text input is read in two stages by ``_staged``: the order from the graph6
-size field or the edge-list header, then, on request, the rest of the graph,
-so that a caller can refuse the order before any later line is read.
+Text input, as the lines that ``_lines`` splits, is read in two stages by
+``_staged``: the order from the graph6 size field or the edge-list header,
+then, on request, the rest of the graph, so that a caller can refuse the order
+before any later line is read.
 
 Vertex sets throughout the library are plain ``frozenset[int]`` / ``set[int]``
 values; there is no wrapper class.
@@ -167,16 +168,15 @@ _NONZERO_BYTE = re.compile(r"[^?]")  # a body byte with some bit set
 _BIT_OFFSETS = tuple(tuple(j for j in range(6) if val >> (5 - j) & 1) for val in range(64))
 
 
-def _parse_graph6(text: str, shared: _Neighbourhoods, cut: int = 0) -> Graph:
+def _parse_graph6(text: str, shared: _Neighbourhoods) -> Graph:
     """parse_graph6 that takes each neighbourhood from shared by its bitmask: one
-    table kept across many calls makes equal neighbourhoods one frozenset. cut
-    body characters left out of text count toward its length."""
+    table kept across many calls makes equal neighbourhoods one frozenset."""
     s, n, offset = _decode_size(text)
     nbits = n * (n - 1) // 2
     nbytes = (nbits + 5) // 6
-    if len(s) + cut - offset > nbytes:
+    if len(s) - offset > nbytes:
         raise Graph6FormatError(
-            f"trailing garbage: {len(s) + cut - offset} body bytes where at most {nbytes} expected"
+            f"trailing garbage: {len(s) - offset} body bytes where at most {nbytes} expected"
         )
     # Visit nonzero bytes only; body bit k (high bit first) is u < v with
     # k = v(v-1)/2 + u, and k only grows, so column v only moves forward.
@@ -261,55 +261,21 @@ def _int_pair(line: str, what: str, shape: str) -> tuple[int, int]:
         raise EdgeListFormatError(f"non-integer {what} {line!r}") from exc
 
 
-# Kept whole by _graph6_line: more than the line of any graph within the CLI's limit.
-_KEPT = 1 << 10
-
-
-def _graph6_line(texts: Iterator[str]) -> tuple[str, int]:
-    """The first nonblank line of the text in texts, as _lines splits it, from its
-    first non-whitespace character, and the number of graph6 characters cut from
-    it. Texts are taken up to the end of the file line that holds its end, so a
-    decode error anywhere in that file line is raised.
-
-    Past the first _KEPT characters, a run of graph6 characters is kept as its
-    first one, and the rest of the line as its first character and the first
-    non-whitespace one after that. Followed by any text, what is kept has the
-    whole line's first character outside graph6 range and its stripped end: all
-    that _decode_size and _parse_graph6 read there, but for the length that the
-    number cut restores.
-    """
-    line, cut = "", 0
-    for text in texts:
-        text = text if line else text.lstrip()  # every line boundary is whitespace
-        part = _LINE.match(text)
-        end = part.end() if part else 0
-        line += text[:end]
-        if len(line) > _KEPT:
-            other = _OUTSIDE_GRAPH6.search(line, _KEPT)
-            start = other.start() if other else len(line)
-            cut += max(start - _KEPT - 1, 0)
-            after = line[start + 1:].lstrip()[:1]
-            line = line[:min(start, _KEPT + 1)] + line[start:start + 1] + after
-        if line and end < len(text):
-            while not text.endswith("\n"):
-                text = next(texts, "\n")
-            break
-    return line, cut
-
-
 def _staged(texts: Iterator[str], fmt: str) -> tuple[int, Callable[[], Graph]]:
-    """The order of the graph in texts, from its graph6 size field or edge-list
-    header, and a function that reads the rest; no line after the order's is taken
-    before that call. Graph6 text is read as _graph6_line says, an edge list's texts
-    are its nonempty lines as _lines gives them, and an order past graph6's is refused."""
+    """The order of the graph in texts, lines as _lines gives them, from its graph6
+    size field or edge-list header, and a function that reads the rest; no line
+    after the order's is taken before that call. The graph6 line is the first that
+    is not all whitespace. A negative order, or one past graph6's, is refused."""
     if fmt == "graph6":
-        line, cut = _graph6_line(texts)
-        return _decode_size(line)[1], lambda: _parse_graph6(line, _Neighbourhoods(), cut)
+        line = next((text for text in texts if not text.isspace()), "")
+        return _decode_size(line)[1], lambda: _parse_graph6(line, _Neighbourhoods())
     lines = (line for raw in texts if (line := raw.split("#", 1)[0].strip()))
     header = next(lines, None)
     if header is None:
         raise EdgeListFormatError("empty edge-list input")
     n, m = _int_pair(header, "header", "n m")
+    if n < 0:
+        raise EdgeListFormatError(f"negative vertex count {n}")
     if n > _GRAPH6_MAX_N:
         raise EdgeListFormatError(f"graph order {n} exceeds the graph6 limit of {_GRAPH6_MAX_N}")
     return n, lambda: _edge_list_body(lines, n, m)

@@ -17,7 +17,14 @@ from hypothesis import example, given, strategies as st
 
 import domcert
 from domcert import cli, graph_core
-from domcert.cli import GAMMA_NODE_BUDGET, MAX_BOUND_BITS, MAX_BOUND_PARAM, MAX_VERTICES, main
+from domcert.cli import (
+    GAMMA_NODE_BUDGET,
+    MAX_BOUND_BITS,
+    MAX_BOUND_PARAM,
+    MAX_LINE_BYTES,
+    MAX_VERTICES,
+    main,
+)
 from domcert.corpus import erdos_renyi
 from domcert.graph_core import (
     from_edge_list,
@@ -62,7 +69,8 @@ def traced_error(argv, capsys) -> tuple[str, int]:
         tracemalloc.stop()
 
 
-# Longer than the part of a graph6 --input line that is read or kept at once.
+LINE_CAP = f"a line is longer than {MAX_LINE_BYTES} bytes"
+# Far longer than the line of any graph within MAX_VERTICES, but within MAX_LINE_BYTES.
 LONG = 1 << 16
 
 
@@ -595,27 +603,47 @@ class TestInputBudgets:
         assert "graph has 51 vertices, above the limit of 50" in err
         assert peak < 1 << 20
 
-    # A graph6 line is read in pieces, and only a bounded part of it is kept.
+    # A line past MAX_LINE_BYTES is refused from its first MAX_LINE_BYTES + 1
+    # bytes, before it is decoded, whatever the rest of the line holds.
     def test_over_limit_order_on_one_long_line(self, tmp_path, capsys):
         path = tmp_path / "graph.g6"
         path.write_bytes(b"~}~~" + b"~" * (4 << 20))
         err, peak = traced_error(["gamma", "--input", str(path)], capsys)
-        assert err == "error: graph has 258047 vertices, above the limit of 50\n"
+        assert err == f"error: cannot read {path}: {LINE_CAP}\n"
         assert peak < 1 << 20
 
-    # A decode error deep in one long line reports its position in that line,
-    # as decoding the whole line does, without building that line.
     def test_decode_error_deep_in_one_long_line(self, tmp_path, capsys):
         path = tmp_path / "graph.g6"
         path.write_bytes(b"A_\r" + b"~" * (4 << 20) + b"\xff")
         err, peak = traced_error(["gamma", "--input", str(path)], capsys)
-        assert err.startswith(f"error: cannot read {path}: ")
-        assert err.endswith("can't decode byte 0xff in position 4194307: invalid start byte\n")
+        assert err == f"error: cannot read {path}: {LINE_CAP}\n"
         assert peak < 1 << 20
 
-    # Each outcome is the one the whole line gives: past the part of the line
-    # that is kept, the first character outside graph6 range, the stripped end
-    # and the length still count, and so does every byte of the line's decoding.
+    def test_long_comment_before_edge_list_header(self, tmp_path, capsys):
+        path = tmp_path / "graph.txt"
+        path.write_bytes(b"# " + b"x" * (4 << 20) + b"\n51 0\n")
+        err, peak = traced_error(["gamma", "--input", str(path), "--format", "edgelist"], capsys)
+        assert err == f"error: cannot read {path}: {LINE_CAP}\n"
+        assert peak < 1 << 20
+
+    # A line of MAX_LINE_BYTES bytes, its line end included, is read; one more is refused.
+    @pytest.mark.parametrize(
+        "fmt, head, tail",
+        [("graph6", b"A_", b"\n"), ("graph6", b"A_ ", b""), ("edgelist", b"#", b"\n1 0\n")],
+        ids=["graph6-padded", "graph6-last-line", "edgelist-comment"],
+    )
+    def test_line_cap(self, fmt, head, tail, tmp_path, capsys):
+        path = tmp_path / "graph.txt"
+        argv = ["gamma", "--input", str(path), "--format", fmt]
+        pad = MAX_LINE_BYTES - len(head) - len(tail.partition(b"\n")[1])
+        path.write_bytes(head + b" " * pad + tail)
+        assert run_json(argv, capsys)["result"]["gamma"] == 1
+        path.write_bytes(head + b" " * (pad + 1) + tail)
+        assert LINE_CAP in run_error(argv, capsys)
+
+    # Each outcome is the one the whole line gives: the first character outside
+    # graph6 range, the stripped end and the length count, and so does every
+    # byte of the line's decoding.
     @pytest.mark.parametrize(
         "line, message",
         [

@@ -350,6 +350,8 @@ class TestEdgeListFormat:
             ("3 4\n0 1\n", r"edge count 4 outside \[0, 3\] for 3 vertices"),
             ("3 -1\n", r"edge count -1 outside \[0, 3\] for 3 vertices"),
             ("3 1\n0 1\n1 2\n", "expected 1 edge lines, found more than 1"),
+            # Refused at the header, though n(n - 1)/2 = 6 would refuse the edge count.
+            ("-3 7\n0 1\n", "negative vertex count -3"),
         ],
     )
     def test_malformed(self, text, message):

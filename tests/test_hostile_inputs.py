@@ -28,8 +28,8 @@ ADDRESS_SPACE = 1 << 30
 # Each request took at most about 1 s (the gamma node budget) and 17 MB on a
 # 2-vCPU VM, interpreter start included; a bare interpreter with domcert
 # imported peaks near 17 MB. The large files stay at that floor: no line past
-# the one holding the order is read from the file, and a graph6 file's first
-# line, however long, is read in 64 KiB pieces of which a bounded part is kept.
+# the one holding the order is read from the file, and a line longer than
+# cli.MAX_LINE_BYTES is refused from its first MAX_LINE_BYTES + 1 bytes.
 WALL_CEILING_S = 5.0
 RSS_CEILING_MB = 64
 
@@ -53,7 +53,8 @@ HOSTILE = {
         ["gamma", "--input", "{input}", "--format", "edgelist"],
         b"258048 0\n",
     ),
-    # Over the vertex limit by the size field or header, with a large body after it.
+    # Over the vertex limit by the size field or header, with a large body after it;
+    # a graph6 body on the size field's line is refused by the line cap first.
     "graph6-order-258047-1mb-body": (["gamma", "--input", "{input}"], b"~}~~" + b"~" * (1 << 20)),
     "graph6-order-258047-4mb-body": (["gamma", "--input", "{input}"], b"~}~~" + b"~" * (4 << 20)),
     "edgelist-star-258047-centre-last": (
@@ -73,6 +74,12 @@ HOSTILE = {
     "edgelist-header-50-2000000": (
         ["gamma", "--input", "{input}", "--format", "edgelist"],
         b"50 2000000\n" + b"0 1\n" * 2000000,
+    ),
+    # A negative order, refused at the header: n(n - 1)/2 is positive, so the
+    # edge count passes.
+    "edgelist-header-negative-order": (
+        ["gamma", "--input", "{input}", "--format", "edgelist"],
+        b"-100000 2000000\n" + b"0 1\n" * 2000000,
     ),
     "undecodable-input": (["gamma", "--input", "{input}"], b"\xff\xfe\x00A_"),
     "double-dash-value": (["gamma", "--graph6=--"], None),
@@ -113,7 +120,8 @@ def run_request(argv, content, tmp_path):
         env={**os.environ, "PYTHONPATH": src},
         capture_output=True,
         text=True,
-        timeout=60,
+        # A hang fails soon after it passes the wall ceiling.
+        timeout=2 * WALL_CEILING_S,
     )
     elapsed = time.perf_counter() - start
     # A child that failed before it wrote its peak fails its status check first.
