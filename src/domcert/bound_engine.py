@@ -130,6 +130,15 @@ class RamseyWitness:
     vertices: frozenset[int]
 
 
+@lru_cache(maxsize=256)
+def _ascending_plan(size: int, flip: int):
+    """Ascending steps, each linked to all earlier ones: the first assignment is
+    the lexicographically first clique (flip 0) or independent set (flip -1)."""
+    pairs = tuple((q, flip) for q in range(size))
+    below = ((),) + tuple((step - 1,) for step in range(1, size))
+    return tuple(pairs[:step] for step in range(size)), below
+
+
 def ramsey_witness(
     graph: Graph, subset: Iterable[int], s: int, t: int
 ) -> Optional[RamseyWitness]:
@@ -144,12 +153,9 @@ def ramsey_witness(
     if any(not 0 <= v < graph.n for v in pool):
         raise PreconditionError("subset contains ids outside the graph")
     allowed = sum(1 << v for v in pool)
-    # Ascending steps, each linked to all earlier ones: the lexicographically first set.
     for kind, size, flip in (("clique", s, 0), ("independent", t, -1)):
         if size <= len(pool):
-            pairs = tuple((q, flip) for q in range(size))
-            links = [pairs[:step] for step in range(size)]
-            below = [()] + [(step - 1,) for step in range(1, size)]
+            links, below = _ascending_plan(size, flip)
             found = _first_assignment(graph.masks, [allowed] * size, links, below)
             if found is not None:
                 return RamseyWitness(kind, frozenset(found))

@@ -5,7 +5,10 @@ certificate of freeness, not a heuristic miss. Pattern vertices are assigned
 in order of descending pattern degree (ascending id on ties); each step's host
 candidates are computed as one bitmask but still tried in ascending id, which
 makes every returned embedding deterministic and therefore usable in golden
-tests. induced_subgraph_brute is the independent oracle; it shares no code.
+tests. Each step allows only the host vertices in its degree window (see
+contains_induced), and a window smaller than its steps answers None unsearched;
+neither cut changes the first complete assignment. induced_subgraph_brute is
+the independent oracle; it shares no code and gets no such filter.
 """
 
 from __future__ import annotations
@@ -45,12 +48,18 @@ def contains_induced(host: Graph, pattern: Graph) -> Optional[Embedding]:
     if pattern.n == 0:
         return Embedding(())
     step_of, need, links, below = _plan(pattern)
-    # Degree filter: per step, the host vertices of at least its pattern degree.
-    at_least = {
-        d: sum(1 << v for v, mask in enumerate(host.masks) if mask.bit_count() >= d)
+    # Degree window: an induced image of a pattern vertex of degree d has at
+    # least d neighbours and pattern.n - 1 - d non-neighbours. The steps of one
+    # degree take distinct vertices of its window: too small a window, no copy.
+    degrees = [mask.bit_count() for mask in host.masks]
+    slack = host.n - pattern.n
+    window = {
+        d: sum(1 << v for v, deg in enumerate(degrees) if d <= deg <= slack + d)
         for d in set(need)
     }
-    found = _first_assignment(host.masks, [at_least[d] for d in need], links, below)
+    if any(window[d].bit_count() < need.count(d) for d in window):
+        return None
+    found = _first_assignment(host.masks, [window[d] for d in need], links, below)
     return None if found is None else Embedding(tuple(found[s] for s in step_of))
 
 

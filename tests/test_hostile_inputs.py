@@ -98,10 +98,17 @@ HOSTILE = {
 
 
 # Within the vertex limit and answered: symmetric inputs whose canonical
-# labelling once hung.
+# labelling once hung, and a containment search that once placed K*_12's
+# clique in K_50 about C(50, 12) ways before finding that no pendant fits.
 ANSWERED = {
-    f"gamma-{name}": (["gamma", "--graph6", to_graph6(graph)], None)
-    for name, graph in SYMMETRIC_HARD.items()
+    **{
+        f"gamma-{name}": (["gamma", "--graph6", to_graph6(graph)], None)
+        for name, graph in SYMMETRIC_HARD.items()
+    },
+    "leq-kstar-12-in-complete-50": (
+        ["leq", "--first", "kstar:12,sstar:12", "--second", "complete:50"],
+        None,
+    ),
 }
 
 

@@ -6,9 +6,10 @@ import hashlib
 import random
 from itertools import combinations, permutations
 
-from hypothesis import given
+from hypothesis import given, strategies as st
 
 from conftest import graphs
+from domcert import subgraph
 from domcert.corpus import corpus_graphs
 from domcert.graph_core import (
     from_edge_list,
@@ -20,6 +21,7 @@ from domcert.graph_core import (
 )
 from domcert.subgraph import (
     Embedding,
+    _plan,
     contains_induced,
     induced_subgraph_brute,
     is_free,
@@ -43,6 +45,38 @@ def reference_scan(host, pattern):
             if verify_embedding(host, pattern, Embedding(perm)):
                 return Embedding(perm)
     return None
+
+
+def first_in_step_order(host, pattern):
+    """The valid embedding whose images, pattern vertices taken by descending
+    degree and ascending id, are smallest; None if there is none."""
+    order = sorted(range(pattern.n), key=lambda p: (-len(pattern.adj[p]), p))
+    valid = [
+        perm
+        for perm in permutations(range(host.n), pattern.n)
+        if verify_embedding(host, pattern, Embedding(perm))
+    ]
+    first = min(valid, key=lambda m: [m[p] for p in order], default=None)
+    return None if first is None else Embedding(first)
+
+
+def complement(graph):
+    return from_edge_list(
+        graph.n, [(u, v) for u, v in combinations(range(graph.n), 2) if v not in graph.adj[u]]
+    )
+
+
+# Patterns with vertices of several degrees, so that some host degrees fall
+# outside a step's window at either end.
+WINDOW_PATTERNS = [
+    gen_k_star(2),
+    gen_k_star(3),
+    gen_s_star(1),
+    gen_s_star(2),
+    gen_path(3),
+    gen_path(4),
+    gen_path(5),
+]
 
 
 def reference_verify_embedding(host, pattern, mapping):
@@ -128,16 +162,27 @@ class TestContainsInduced:
 
     @given(graphs(max_n=7), graphs(max_n=5))
     def test_first_embedding_in_step_order(self, host, pattern):
-        # Pattern vertices by descending degree, ascending id; the embedding
-        # returned is the valid one whose images in that order are smallest.
-        order = sorted(range(pattern.n), key=lambda p: (-len(pattern.adj[p]), p))
-        valid = [
-            perm
-            for perm in permutations(range(host.n), pattern.n)
-            if verify_embedding(host, pattern, Embedding(perm))
-        ]
-        first = min(valid, key=lambda m: [m[p] for p in order], default=None)
-        assert contains_induced(host, pattern) == (None if first is None else Embedding(first))
+        assert contains_induced(host, pattern) == first_in_step_order(host, pattern)
+
+    @given(graphs(max_n=8), st.sampled_from(WINDOW_PATTERNS))
+    def test_degree_window_keeps_first_embedding(self, host, pattern):
+        # Sparse hosts fail the window's lower end, their dense complements
+        # its upper end.
+        for graph in (host, complement(host)):
+            assert contains_induced(graph, pattern) == first_in_step_order(graph, pattern)
+
+    def test_degree_window_refuses_before_searching(self, monkeypatch):
+        # Every vertex of K_50 has 49 neighbours; an image of a clique vertex
+        # of K*_12 needs 12 neighbours and 11 non-neighbours among 50.
+        host, pattern = gen_complete(50), gen_k_star(12)
+        _plan(pattern)  # its symmetry search runs now, not under the counter
+        calls = []
+        original = subgraph._first_assignment
+        monkeypatch.setattr(
+            subgraph, "_first_assignment", lambda *args: calls.append(args) or original(*args)
+        )
+        assert contains_induced(host, pattern) is None
+        assert calls == []
 
     @given(graphs(max_n=7), graphs(max_n=4))
     def test_agrees_with_brute_force(self, host, pattern):
