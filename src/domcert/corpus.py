@@ -24,7 +24,6 @@ from .errors import GraphConstructionError, PreconditionError
 from .graph_core import (
     Graph,
     _members,
-    _Neighbourhoods,
     _parse_graph6,
     _trusted_graph,
     from_edge_list,
@@ -93,8 +92,8 @@ def canonical_graph6(graph: Graph) -> str:
         target = next((idx for idx, c in enumerate(cells) if len(c) > 1), None)
         if target is None:
             pos = {v: i for i, (v,) in enumerate(cells)}  # v is renamed to its cell's index
-            adj = tuple(frozenset(map(pos.__getitem__, graph.adj[v])) for (v,) in cells)
-            return to_graph6(_trusted_graph(adj))  # a relabelling of a valid graph is valid
+            masks = [sum(1 << pos[u] for u in _members(graph.masks[v])) for (v,) in cells]
+            return to_graph6(_trusted_graph(masks))  # a relabelling of a valid graph is valid
         cell = cells[target]
         explored: list = []
         leaves = []
@@ -189,19 +188,16 @@ def all_labeled_graphs(n: int) -> Iterator[Graph]:
     """Every labeled graph on n vertices, one per edge-subset, 2^(n(n-1)/2) total.
 
     Edge subset i is bit i of the counter, over the pairs u < v in
-    lexicographic order. Each graph is built from its masks, and equal
-    neighbourhoods are one shared frozenset, taken by bitmask from one table
-    for the whole enumeration.
+    lexicographic order. Each graph is built from its masks.
     """
     pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
-    shared = _Neighbourhoods()
     for mask in range(1 << len(pairs)):
         nbrs = [0] * n
         for i in _members(mask):
             u, v = pairs[i]
             nbrs[u] |= 1 << v
             nbrs[v] |= 1 << u
-        yield shared.trusted_graph(nbrs)
+        yield _trusted_graph(nbrs)
 
 
 # ---------------------------------------------------------------------------
@@ -213,15 +209,9 @@ def fixture_path():
 
 
 def load_fixture_corpus() -> list[Graph]:
-    """Parse the packaged corpus, in file order: sorted by vertex count.
-
-    Equal neighbourhoods are one shared frozenset, through a bitmask-keyed
-    table local to this call: with n <= 8 there are at most 256 of them, so the
-    parsed corpus holds a few hundred sets instead of one per vertex.
-    """
-    shared = _Neighbourhoods()
+    """Parse the packaged corpus, in file order: sorted by vertex count."""
     lines = fixture_path().read_text().splitlines()
-    return [_parse_graph6(line, shared) for line in lines if line.strip()]
+    return [_parse_graph6(line) for line in lines if line.strip()]
 
 
 def corpus_graphs() -> list[Graph]:
@@ -253,7 +243,7 @@ def erdos_renyi(n: int, p: float, rng: random.Random) -> Graph:
             if rng.random() < p:
                 masks[u] |= 1 << v
                 masks[v] |= 1 << u
-    return _Neighbourhoods().trusted_graph(masks)
+    return _trusted_graph(masks)
 
 
 def sample_free_connected(
@@ -266,15 +256,12 @@ def sample_free_connected(
 
     Draws cycle through the (n, p) configs; connectivity and freeness are
     rechecked on every draw, so the output is certified, not heuristic.
-    Deterministic for a fixed seed and config sequence. Accepted graphs take
-    their neighbourhoods from one bitmask-keyed table local to this call, so
-    equal neighbourhoods are one shared frozenset.
+    Deterministic for a fixed seed and config sequence.
     """
     if count > 0 and not configs:
         raise PreconditionError("sampling needs at least one (n, p) config")
     pattern_list = list(patterns)
     rng = random.Random(seed)
-    shared = _Neighbourhoods()
     out: list[Graph] = []
     attempts = 0
     limit = 4000 * max(count, 1)
@@ -287,5 +274,5 @@ def sample_free_connected(
         attempts += 1
         graph = erdos_renyi(n, p, rng)
         if is_connected(graph) and is_free(graph, pattern_list):
-            out.append(shared.trusted_graph(graph.masks))
+            out.append(graph)
     return out

@@ -2,15 +2,18 @@
 
 Graphs are simple and undirected, with dense 0-based vertex ids. A ``Graph`` is
 immutable after construction, so instances can be shared freely and used as
-dict keys. One rule: kernels read masks, checkers read adj. Every search and
-construction kernel runs on the bitmasks ``Graph.masks``; the frozensets
-``Graph.adj`` are read only by validation and equality, the codecs, the small
-``Graph`` methods and the literal checkers and oracles. ``LayerDecomposition``
-keeps BFS layers the same way, as one vertex mask per layer, and builds their
+dict keys. It stores its order and one bitmask per vertex, ``Graph.masks``;
+equality and hashing compare those. One rule: kernels read masks, checkers read
+adj. Every search and construction kernel and the codecs run on the masks; the
+frozensets ``Graph.adj`` are read only by the literal checkers and oracles. They
+are derived from the masks through ``_members`` on first read, each taken from
+one bounded table of recently used masks that every graph shares, so equal
+neighbourhoods read together are one frozenset. ``LayerDecomposition`` keeps
+BFS layers the same way, as one vertex mask per layer, and builds their
 frozensets only when ``layers`` is first read; root selection reads only depths.
 
 ``Graph(n, adj)`` validates what a caller outside the package gives it. Every
-builder in the package checks its own input, or makes adjacency that is
+builder in the package checks its own input, or makes masks that are
 symmetric and loop-free by construction, and then builds through one
 unvalidated constructor, ``_trusted_graph``: ``from_edge_list`` (and so the
 generators), the graph6 decoder, and ``corpus``'s enumeration and sampling.
@@ -28,10 +31,10 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from functools import cached_property, reduce
+from functools import cached_property, lru_cache, reduce
 from itertools import compress, islice
 from operator import or_
-from typing import Callable, Iterable, Iterator, Optional, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 from .errors import (
     DisconnectedGraphError,
@@ -48,52 +51,53 @@ _GRAPH6_MAX_N = 258047
 
 @dataclass(frozen=True)
 class Graph:
-    """Simple undirected graph on vertices 0..n-1 with frozen adjacency sets.
+    """Simple undirected graph on vertices 0..n-1, stored as neighbourhood bitmasks:
+    bit u of masks[v] is set iff uv is an edge. Kernels read masks; adj, the
+    same neighbourhoods as frozensets for the checkers, is derived from them
+    through _members and the shared table _neighbourhood on first read.
 
-    Constructing one checks that adj is in range, loop-free and symmetric; the
-    package's own builders, which check their input themselves, skip that check
-    through _trusted_graph.
+    Graph(n, adj) checks that adj is in range, loop-free and symmetric, and
+    stores its masks; the package's own builders, which check their input
+    themselves, skip that check through _trusted_graph.
     """
 
     n: int
-    adj: tuple[frozenset[int], ...]
+    masks: tuple[int, ...]
 
-    def __post_init__(self):
-        if self.n < 0:
-            raise GraphConstructionError(f"negative vertex count {self.n}")
-        if len(self.adj) != self.n:
-            raise GraphConstructionError(
-                f"adjacency length {len(self.adj)} does not match n={self.n}"
-            )
-        for u, nbrs in enumerate(self.adj):
+    def __init__(self, n: int, adj: Sequence[frozenset[int]]):
+        if n < 0:
+            raise GraphConstructionError(f"negative vertex count {n}")
+        if len(adj) != n:
+            raise GraphConstructionError(f"adjacency length {len(adj)} does not match n={n}")
+        for u, nbrs in enumerate(adj):
             for v in nbrs:
-                if not 0 <= v < self.n:
+                if not 0 <= v < n:
                     raise GraphConstructionError(f"neighbor {v} of {u} out of range")
                 if v == u:
                     raise GraphConstructionError(f"loop at vertex {u}")
-                if u not in self.adj[v]:
+                if u not in adj[v]:
                     raise GraphConstructionError(f"asymmetric edge {u}-{v}")
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "masks", tuple(sum(1 << u for u in nbrs) for nbrs in adj))
 
     @cached_property
-    def masks(self) -> tuple[int, ...]:
-        """Open neighbourhoods as bitmasks: bit u of masks[v] is set iff uv is an edge."""
-        return tuple(sum(1 << u for u in nbrs) for nbrs in self.adj)
+    def adj(self) -> tuple[frozenset[int], ...]:
+        """Open neighbourhoods as sets, derived from masks on first read."""
+        return tuple(map(_neighbourhood, self.masks))
 
     def edges(self) -> list[tuple[int, int]]:
         """All edges as (u, v) pairs with u < v, sorted."""
-        return [(u, v) for u in range(self.n) for v in sorted(self.adj[u]) if u < v]
+        return [(u, v) for u, mask in enumerate(self.masks) for v in _members(mask) if u < v]
 
 
-def _trusted_graph(adj: tuple[frozenset[int], ...], masks: Optional[tuple] = None) -> Graph:
-    """The graph with open neighbourhoods adj, and masks as Graph.masks when given.
-    Not validated: adj must be symmetric and loop-free, with every id in range."""
+def _trusted_graph(masks: Sequence[int]) -> Graph:
+    """The graph whose open neighbourhoods are masks. Not validated: masks must be
+    symmetric and loop-free, with no bit at or past len(masks)."""
     graph = object.__new__(Graph)
     # Set one by one in field order, as Graph.__init__ does, so the instance
     # keeps its compact attribute storage (no materialised __dict__).
-    object.__setattr__(graph, "n", len(adj))
-    object.__setattr__(graph, "adj", adj)
-    if masks is not None:
-        object.__setattr__(graph, "masks", masks)
+    object.__setattr__(graph, "n", len(masks))
+    object.__setattr__(graph, "masks", tuple(masks))
     return graph
 
 
@@ -119,21 +123,17 @@ def from_edge_list(n: int, edges: Iterable[tuple[int, int]]) -> Graph:
     """Build a graph from explicit edges, rejecting ids out of range, loops and duplicates."""
     if n < 0:
         raise GraphConstructionError(f"negative vertex count {n}")
-    # A vertex gets its set at its first edge, so no set here is empty; the
-    # untouched vertices share one empty neighbourhood, a pointer each.
-    adj: list[Optional[set[int]]] = [None] * n
+    masks = [0] * n
     for u, v in edges:
         if not (0 <= u < n and 0 <= v < n):
             raise GraphConstructionError(f"edge ({u},{v}) has an id outside [0,{n})")
         if u == v:
             raise GraphConstructionError(f"loop edge ({u},{v})")
-        adj[u], adj[v] = adj[u] or set(), adj[v] or set()
-        if v in adj[u]:
+        if masks[u] >> v & 1:
             raise GraphConstructionError(f"duplicate edge ({u},{v})")
-        adj[u].add(v)
-        adj[v].add(u)
-    empty: frozenset[int] = frozenset()
-    return _trusted_graph(tuple(frozenset(s) if s else empty for s in adj))
+        masks[u] |= 1 << v
+        masks[v] |= 1 << u
+    return _trusted_graph(masks)
 
 
 # ---------------------------------------------------------------------------
@@ -146,20 +146,7 @@ def parse_graph6(text: str) -> Graph:
     Missing trailing body bytes are read as all-zero bits; extra bytes and
     nonzero padding bits are rejected.
     """
-    return _parse_graph6(text, _Neighbourhoods())
-
-
-class _Neighbourhoods(dict):
-    """Neighbourhood frozensets by bitmask, each made on its first lookup."""
-
-    def __missing__(self, mask: int) -> frozenset[int]:
-        return self.setdefault(mask, frozenset(_members(mask)))
-
-    def trusted_graph(self, masks: Sequence[int]) -> Graph:
-        """The graph whose open neighbourhoods are masks, with each frozenset from
-        this table and masks kept as Graph.masks. Not validated: masks must be
-        symmetric and loop-free, with no bit at or past len(masks)."""
-        return _trusted_graph(tuple(map(self.__getitem__, masks)), tuple(masks))
+    return _parse_graph6(text)
 
 
 _OUTSIDE_GRAPH6 = re.compile(r"[^?-~]")  # a character outside [63, 126]
@@ -168,9 +155,9 @@ _NONZERO_BYTE = re.compile(r"[^?]")  # a body byte with some bit set
 _BIT_OFFSETS = tuple(tuple(j for j in range(6) if val >> (5 - j) & 1) for val in range(64))
 
 
-def _parse_graph6(text: str, shared: _Neighbourhoods) -> Graph:
-    """parse_graph6 that takes each neighbourhood from shared by its bitmask: one
-    table kept across many calls makes equal neighbourhoods one frozenset."""
+def _parse_graph6(text: str) -> Graph:
+    """parse_graph6 for the package's own readers, whose calls perfbench's
+    count of parse_graph6 calls leaves out."""
     s, n, offset = _decode_size(text)
     nbits = n * (n - 1) // 2
     nbytes = (nbits + 5) // 6
@@ -194,14 +181,15 @@ def _parse_graph6(text: str, shared: _Neighbourhoods) -> Graph:
             u = k - start
             masks[u] |= 1 << v
             masks[v] |= 1 << u
-    return shared.trusted_graph(masks)
+    return _trusted_graph(masks)
 
 
 def to_graph6(graph: Graph) -> str:
     """Encode a graph as a canonical-length graph6 string (no header, no newline)."""
     n = graph.n
     size = _encode_size(n)  # refuses an order past the graph6 range before any work
-    bits = "".join("1" if u in graph.adj[v] else "0" for v in range(1, n) for u in range(v))
+    # Column v holds bits u = 0..v-1 of masks[v], lowest first.
+    bits = "".join(format(graph.masks[v] & ~(-1 << v), f"0{v}b")[::-1] for v in range(1, n))
     bits += "0" * (-len(bits) % 6)
     body = bytes(int(bits[i:i + 6], 2) + 63 for i in range(0, len(bits), 6))
     return (size + body).decode("ascii")
@@ -268,7 +256,7 @@ def _staged(texts: Iterator[str], fmt: str) -> tuple[int, Callable[[], Graph]]:
     is not all whitespace. A negative order, or one past graph6's, is refused."""
     if fmt == "graph6":
         line = next((text for text in texts if not text.isspace()), "")
-        return _decode_size(line)[1], lambda: _parse_graph6(line, _Neighbourhoods())
+        return _decode_size(line)[1], lambda: _parse_graph6(line)
     lines = (line for raw in texts if (line := raw.split("#", 1)[0].strip()))
     header = next(lines, None)
     if header is None:
@@ -325,6 +313,12 @@ def _members(mask: int) -> list[int]:
         out.append(v)
         v = bits.find("1", v + 1)
     return out
+
+
+@lru_cache(maxsize=1 << 12)  # holds every mask on 12 or fewer vertices
+def _neighbourhood(mask: int) -> frozenset[int]:
+    """The vertices of mask as a set, one shared frozenset per recently used mask."""
+    return frozenset(_members(mask))
 
 
 def closed_neighborhood(graph: Graph, vertices: Iterable[int]) -> frozenset[int]:

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import random
 from itertools import combinations
 
 import pytest
@@ -49,6 +50,15 @@ SYMMETRIC_HARD = {
     "kneser-10-2": kneser(10, 2),
     "circulant-50-1-7": circulant(50, (1, 7)),
 }
+
+
+def sparse_connected(n: int, rng: random.Random) -> Graph:
+    """A random spanning tree plus n // 2 random extra edges."""
+    edges = {(rng.randrange(v), v) for v in range(1, n)}
+    while len(edges) < n - 1 + n // 2:
+        u, v = sorted(rng.sample(range(n), 2))
+        edges.add((u, v))
+    return from_edge_list(n, sorted(edges))
 
 
 def _all_pairs(n: int) -> list[tuple[int, int]]:

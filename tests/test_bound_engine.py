@@ -2,13 +2,15 @@
 
 from __future__ import annotations
 
+import hashlib
 import math
+import random
 from itertools import combinations, product
 
 import pytest
 from hypothesis import example, given, strategies as st
 
-from conftest import connected_graphs, graphs
+from conftest import connected_graphs, graphs, sparse_connected
 from domcert.bound_engine import (
     BoundReport,
     _layer_stages,
@@ -482,3 +484,28 @@ class TestWitnessExtraction:
             assert witness.shape == shape and witness.size == size
             pattern = gen_k_star(size) if shape == "kstar" else gen_s_star(size)
             assert verify_embedding(host, pattern, witness.embedding)
+
+
+# sha256 of repr((root, sorted set, report, witnesses)), where the set and report
+# are construct_dominating_set(g, k=3, ell=2, m=6) on sparse_connected(1000,
+# Random(seed)) and the witnesses are extract_forbidden_witness at (2, 2), then
+# (3, 2), at each layer i >= 2 of that root. A change to a digest on purpose is
+# named, with its reason, in CHANGES.md.
+LARGE_GOLDEN = {
+    1: "4ba4453b9b01bf59421ea515cae9e0780671f7b34b17f2beb5b964c4b2056df5",
+    2: "b7ab61acc5c0cc222711fc50a42d8cdc9dc8241a2114011665ef629388d78ec9",
+}
+
+
+@pytest.mark.parametrize("seed", sorted(LARGE_GOLDEN))
+def test_large_graph_golden(seed):
+    g = sparse_connected(1000, random.Random(seed))
+    chosen, report = construct_dominating_set(g, k=3, ell=2, m=6)
+    layers = bfs_layers(g, report.root)
+    witnesses = [
+        extract_forbidden_witness(g, layers, i, k, ell)
+        for k, ell in ((2, 2), (3, 2))
+        for i in range(2, layers.depth + 1)
+    ]
+    text = repr((report.root, sorted(chosen), report, witnesses))
+    assert hashlib.sha256(text.encode()).hexdigest() == LARGE_GOLDEN[seed]

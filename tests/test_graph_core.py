@@ -10,15 +10,16 @@ from math import isqrt
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import connected_graphs, graphs
+from conftest import connected_graphs, graphs, sparse_connected
 from domcert.corpus import (
     all_labeled_graphs,
     canonical_graph6,
     enumerate_connected_graphs,
     erdos_renyi,
+    load_fixture_corpus,
     sample_free_connected,
 )
-from domcert.domination import is_dominating
+from domcert.domination import gamma_exact, is_dominating
 from domcert.errors import (
     DisconnectedGraphError,
     EdgeListFormatError,
@@ -29,6 +30,7 @@ from domcert.graph_core import (
     GRAPH6_HEADER,
     Graph,
     _lines,
+    _members,
     bfs_layers,
     closed_neighborhood,
     from_edge_list,
@@ -138,15 +140,6 @@ def graph6_texts(draw) -> str:
     return text
 
 
-def sparse_connected(n: int, rng: random.Random) -> Graph:
-    """A random spanning tree plus n // 2 random extra edges."""
-    edges = {(rng.randrange(v), v) for v in range(1, n)}
-    while len(edges) < n - 1 + n // 2:
-        u, v = sorted(rng.sample(range(n), 2))
-        edges.add((u, v))
-    return from_edge_list(n, sorted(edges))
-
-
 class TestGraphType:
     def test_rejects_asymmetric_adjacency(self):
         with pytest.raises(GraphConstructionError, match="asymmetric"):
@@ -177,6 +170,20 @@ class TestGraphType:
         g, h = gen_path(4), gen_path(4)
         g.masks
         assert g == h and hash(g) == hash(h)
+
+    def test_kernels_build_no_sets(self):
+        corpus, pattern = load_fixture_corpus(), gen_path(4)
+        some = corpus[::40]
+        for g in some:
+            gamma_exact(g)
+            contains_induced(g, pattern)
+            bfs_layers(g, 0)
+            canonical_graph6(g)
+        assert not any("adj" in vars(g) for g in [pattern, *corpus])
+        for g in some:
+            assert g.adj == tuple(frozenset(_members(mask)) for mask in g.masks)
+            fresh = parse_graph6(to_graph6(g))
+            assert g == fresh and hash(g) == hash(fresh) and "adj" not in vars(fresh)
 
 
 class TestFromEdgeList:
@@ -210,10 +217,10 @@ class TestOneConstructor:
     own checks, so Graph's validation runs only for callers outside it."""
 
     def test_package_builders_skip_validation(self, monkeypatch):
-        def refuse(graph):
+        def refuse(graph, *args):
             raise AssertionError("built through Graph's validating constructor")
 
-        monkeypatch.setattr(Graph, "__post_init__", refuse)
+        monkeypatch.setattr(Graph, "__init__", refuse)
         generators = (gen_path, gen_complete, gen_empty, gen_k_star, gen_s_star)
         built = [from_edge_list(3, [(0, 1), (1, 2)]), *(gen(4) for gen in generators)]
         built += [parse_edge_list("3 2\n0 1\n0 2\n"), parse_graph6("E?bw")]

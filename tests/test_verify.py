@@ -29,6 +29,34 @@ def test_full_battery_parses_corpus_once(battery):
     assert loads == 1
 
 
+# (name, passed, detail) of every criterion of the default-seed battery. A
+# change to one on purpose is named, with its reason, in CHANGES.md.
+BATTERY_GOLDEN = [
+    ("paths", True, "gamma(P_n) = ceil(n/3) for n = 1..30, each under 1s"),
+    ("families", True, "gamma(K*_n) = gamma(S*_n) = n for n = 1..8"),
+    ("ore", True, "gamma <= floor(n/2) on all 12112 connected graphs, 2 <= n <= 8"),
+    ("ckshep", True, "gamma <= ceil(n/3) on 1067 exhaustive plus 2000 sampled "
+     "claw-and-pendant-triangle-free graphs"),
+    ("soundness", True, "construction dominates within theorem_bound on 2000 sampled "
+     "free graphs (two parameter triples)"),
+    ("independence", True, "maximal independent sets dominate and alpha < k forces "
+     "gamma <= k-1 on all 12113 corpus graphs"),
+    ("ramsey", True, "clique-or-independent triple found and verified on all 32768 "
+     "labeled graphs with 6 vertices"),
+    ("witness", True, "6 engineered violations yield re-validated embeddings; 1000 "
+     "sampled free graphs yield none at any layer"),
+    ("bound-table", True, "18 hand-derived recursion values match"),
+    ("oracles", True, "two gamma routes agree on 996 graphs; two containment routes "
+     "agree on 5518 host/pattern pairs"),
+    ("roundtrip", True, "12113 corpus graphs round-trip; 'D?' and 'A_' decode as documented"),
+]
+
+
+def test_battery_matches_golden(battery):
+    results, _ = battery
+    assert [(r.name, r.passed, r.detail) for r in results] == BATTERY_GOLDEN
+
+
 def test_battery_without_corpus_suites_parses_nothing(loads):
     results = run_suites(["paths", "bound-table"])
     assert all(r.passed for r in results)
